@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .arrangements import incidence_table
 from .plethysm import forward_zeta, invert_zeta, symbolic_inverse
@@ -399,10 +400,9 @@ def _product_one_minus(exponents, upto):
     return coeffs
 
 
-def _cyclotomic(n, cache={}):
+@lru_cache(maxsize=None)
+def _cyclotomic(n):
     """The n-th cyclotomic polynomial in y, by exact division."""
-    if n in cache:
-        return cache[n]
     numerator = Poly({n: Fraction(1), 0: Fraction(-1)}, var="y")
     for d in divisors(n):
         if d == n:
@@ -411,7 +411,6 @@ def _cyclotomic(n, cache={}):
         if not remainder.is_zero():
             raise MathCheckError("cyclotomic division left a remainder", {"n": n})
         numerator = quotient
-    cache[n] = numerator
     return numerator
 
 

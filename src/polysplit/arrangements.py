@@ -66,38 +66,40 @@ def _canonicalize(residual, slices):
     return tuple(out)
 
 
-def _count(tau, lam, squarefree):
-    rows = tau.parts
+def _column_fills(degs, c, n, residual, squarefree):
+    """All row vectors v with sum v_i * degs[i] = c and v_i * n <= residual_i,
+    in decreasing lexicographic order; entries are at most 1 if squarefree."""
+    nrows = len(degs)
+    fills = []
+    v = [0] * nrows
+
+    def extend(i, remaining):
+        if remaining == 0:
+            fills.append(tuple(v))
+            return
+        if i == nrows:
+            return
+        cap = min(remaining // degs[i], residual[i] // n)
+        if squarefree:
+            cap = min(cap, 1)
+        for value in range(cap, -1, -1):
+            v[i] = value
+            extend(i + 1, remaining - value * degs[i])
+        v[i] = 0
+
+    extend(0, c)
+    return fills
+
+
+@lru_cache(maxsize=None)
+def _walk(tau, lam, squarefree, first=False):
+    """Number of arrangements from tau to lam, filled column by column and
+    memoized on the canonical residual; with ``first``, stop at the first
+    arrangement found, so the result is 0 or 1."""
     cols = lam.parts
-    if not rows:
-        return 1
-    degs = [p[0] for p in rows]
-    mults = [p[1] for p in rows]
-    nrows = len(rows)
-    slices = _group_slices(rows)
+    degs = [b for b, _ in tau.parts]
+    slices = _group_slices(tau.parts)
     memo = {}
-
-    def column_fills(c, n, residual):
-        """All row vectors v with sum v_i * degs[i] = c and v_i * n <= residual_i."""
-        fills = []
-        v = [0] * nrows
-
-        def extend(i, remaining):
-            if remaining == 0:
-                fills.append(tuple(v[:i]) + (0,) * (nrows - i))
-                return
-            if i == nrows:
-                return
-            cap = min(remaining // degs[i], residual[i] // n)
-            if squarefree:
-                cap = min(cap, 1)
-            for value in range(cap, -1, -1):
-                v[i] = value
-                extend(i + 1, remaining - value * degs[i])
-            v[i] = 0
-
-        extend(0, c)
-        return fills
 
     def walk(j, residual):
         if j == len(cols):
@@ -105,33 +107,34 @@ def _count(tau, lam, squarefree):
             # weight of the remaining columns, which is now zero.
             return 1
         key = (j, residual)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+        total = memo.get(key)
+        if total is not None:
+            return total
         c, n = cols[j]
         total = 0
-        for fill in column_fills(c, n, residual):
-            rest = tuple(residual[i] - fill[i] * n for i in range(nrows))
+        for fill in _column_fills(degs, c, n, residual, squarefree):
+            rest = tuple(r - f * n for r, f in zip(residual, fill))
             total += walk(j + 1, _canonicalize(rest, slices))
+            if first and total:
+                break
         memo[key] = total
         return total
 
-    return walk(0, tuple(mults))
+    return walk(0, tuple(m for _, m in tau.parts))
 
 
-@lru_cache(maxsize=None)
-def _count_cached(tau, lam, squarefree):
-    return _count(tau, lam, squarefree)
+def _check_degrees(tau, lam):
+    if tau.degree() != lam.degree():
+        raise ValueError("types must have equal degree, got %d and %d"
+                         % (tau.degree(), lam.degree()))
 
 
 def count_arrangements(tau, lam, squarefree=False):
     """Number of arrangement matrices from tau to lam (a or, if squarefree, e)."""
-    if tau.degree() != lam.degree():
-        raise ValueError("types must have equal degree, got %d and %d"
-                         % (tau.degree(), lam.degree()))
+    _check_degrees(tau, lam)
     if _above_is_impossible(tau, lam):
         return 0
-    return _count_cached(tau, lam, bool(squarefree))
+    return _walk(tau, lam, bool(squarefree))
 
 
 def _above_is_impossible(tau, lam):
@@ -146,53 +149,12 @@ def _above_is_impossible(tau, lam):
     return lam.index() == tau.index() and lam.length() > tau.length()
 
 
-@lru_cache(maxsize=None)
 def leq(tau, lam):
     """Order relation: tau <= lam iff some arrangement from tau to lam exists."""
-    if tau.degree() != lam.degree():
-        raise ValueError("types must have equal degree, got %d and %d"
-                         % (tau.degree(), lam.degree()))
+    _check_degrees(tau, lam)
     if tau == lam:
         return True
-    if _above_is_impossible(tau, lam):
-        return False
-    rows = tau.parts
-    cols = lam.parts
-    degs = [p[0] for p in rows]
-    nrows = len(rows)
-    slices = _group_slices(rows)
-    seen = set()
-
-    def walk(j, residual):
-        if j == len(cols):
-            return True
-        key = (j, residual)
-        if key in seen:
-            return False
-        c, n = cols[j]
-        v = [0] * nrows
-
-        def extend(i, remaining):
-            if remaining == 0:
-                rest = tuple(residual[k] - v[k] * n for k in range(nrows))
-                return walk(j + 1, _canonicalize(rest, slices))
-            if i == nrows:
-                return False
-            cap = min(remaining // degs[i], residual[i] // n)
-            for value in range(cap, -1, -1):
-                v[i] = value
-                if extend(i + 1, remaining - value * degs[i]):
-                    v[i] = 0
-                    return True
-            v[i] = 0
-            return False
-
-        if extend(0, c):
-            return True
-        seen.add(key)
-        return False
-
-    return walk(0, tuple(p[1] for p in rows))
+    return not _above_is_impossible(tau, lam) and _walk(tau, lam, False, first=True) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -262,47 +224,19 @@ class Arrangement:
 
 def enumerate_arrangements(tau, lam, squarefree=False):
     """All arrangement matrices from tau to lam, in lexicographic order."""
-    if tau.degree() != lam.degree():
-        raise ValueError("types must have equal degree, got %d and %d"
-                         % (tau.degree(), lam.degree()))
-    rows = tau.parts
-    cols = lam.parts
-    degs = [p[0] for p in rows]
-    nrows = len(rows)
-    found = []
-    current = []
+    _check_degrees(tau, lam)
+    degs = [b for b, _ in tau.parts]
 
-    def walk(j, residual):
-        if j == len(cols):
-            matrix = [[current[jj][i] for jj in range(len(cols))] for i in range(nrows)]
-            found.append(Arrangement(tau, lam, matrix))
+    def walk(j, residual, columns):
+        if j == len(lam.parts):
+            yield Arrangement(tau, lam, zip(*columns))
             return
-        c, n = cols[j]
-        v = [0] * nrows
+        c, n = lam.parts[j]
+        for fill in _column_fills(degs, c, n, residual, squarefree):
+            rest = tuple(r - f * n for r, f in zip(residual, fill))
+            yield from walk(j + 1, rest, columns + [fill])
 
-        def extend(i, remaining):
-            if remaining == 0:
-                fill = tuple(v[:i]) + (0,) * (nrows - i)
-                current.append(fill)
-                walk(j + 1, tuple(residual[k] - fill[k] * n for k in range(nrows)))
-                current.pop()
-                return
-            if i == nrows:
-                return
-            cap = min(remaining // degs[i], residual[i] // n)
-            if squarefree:
-                cap = min(cap, 1)
-            for value in range(cap, -1, -1):
-                v[i] = value
-                extend(i + 1, remaining - value * degs[i])
-            v[i] = 0
-
-        extend(0, c)
-
-    if not rows:
-        return [Arrangement(tau, lam, [])]
-    walk(0, tuple(p[1] for p in rows))
-    return found
+    return list(walk(0, tuple(m for _, m in tau.parts), []))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +244,8 @@ def enumerate_arrangements(tau, lam, squarefree=False):
 
 
 class IncidenceTable:
-    """Dense upper-triangular table of an incidence function at one degree."""
+    """Dense upper-triangular table at one degree: an incidence function, or a
+    polysymmetric basis transition."""
 
     __slots__ = ("degree", "tag", "types", "entries", "_pos")
 
@@ -366,9 +301,10 @@ def _invert_triangular(types, value):
                         of inv(tau, kappa) * value(kappa, lam).
     """
     size = len(types)
-    table = [[value(types[i], types[j]) if i <= j else Fraction(0)
+    zero = Fraction(0)
+    table = [[value(types[i], types[j]) if i <= j else zero
               for j in range(size)] for i in range(size)]
-    inv = [[Fraction(0)] * size for _ in range(size)]
+    inv = [[zero] * size for _ in range(size)]
     for i in range(size):
         inv[i][i] = 1 / table[i][i]
         for j in range(i + 1, size):
@@ -465,23 +401,22 @@ def incidence_table(d, tag, use_cache=True):
 
     Tables are held in memory for the session and mirrored to a JSON disk
     cache (POLYSPLIT_CACHE_DIR, defaulting to ~/.cache/polysplit); a corrupt
-    or stale cache file is silently recomputed.
+    or stale cache file is silently recomputed.  With ``use_cache=False`` the
+    table is recomputed and neither cache is read or written.
     """
     if tag not in TABLE_TAGS:
         raise ValueError("unknown table tag %r" % (tag,))
     if not 1 <= d <= MAX_TABLE_DEGREE:
         raise ValueError("table degree must be between 1 and %d" % MAX_TABLE_DEGREE)
-    key = (d, tag)
-    table = _memory_tables.get(key)
-    if table is not None:
-        return table
-    if use_cache:
-        table = _load_cached_table(d, tag)
+    if not use_cache:
+        return _compute_table(d, tag)
+    table = _memory_tables.get((d, tag))
     if table is None:
-        table = _compute_table(d, tag)
-        if use_cache:
+        table = _load_cached_table(d, tag)
+        if table is None:
+            table = _compute_table(d, tag)
             _store_cached_table(table)
-    _memory_tables[key] = table
+        _memory_tables[(d, tag)] = table
     return table
 
 

@@ -32,7 +32,7 @@ TAG_ALIASES = {"a": "a", "e": "e", "ainv": "a_inv", "mobius": "mobius"}
 
 @click.group()
 @click.option("--no-cache", is_flag=True, default=False,
-              help="Recompute tables instead of using the disk cache.")
+              help="Recompute tables, bypassing the memory and disk caches.")
 @click.pass_context
 def cli(ctx, no_cache):
     """Exact computations with splitting types, arrangement numbers, and

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arrangements import incidence_table, leq
+from .arrangements import incidence_table
 from .polysym import PolysymElement, convert
 from .rings import (
     MPoly,
@@ -273,11 +273,6 @@ def multinomial(ring, x, counts):
                       {"op": "multinomial", "counts": counts})
 
 
-def conf_class(ring, x, counts):
-    """The class of the configuration space of labelled groups of points."""
-    return multinomial(ring, x, counts)
-
-
 def binomial_strata(ring, us, tau):
     """Stratum class in a binomial ring: the product over distinct part
     degrees p of binom(u_p; counts of (p, 1), (p, 2), ...)."""
@@ -367,6 +362,8 @@ class MeasureSequence:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict) or "ring" not in data or "values" not in data:
+            raise ValueError('a values file must be an object with "ring" and "values"')
         token = data["ring"]
         order = None
         if token == "witt" and data["values"]:

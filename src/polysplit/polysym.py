@@ -24,9 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .arrangements import MAX_TABLE_DEGREE, incidence_table
+from .arrangements import (
+    MAX_TABLE_DEGREE,
+    IncidenceTable,
+    _invert_triangular,
+    incidence_table,
+)
 from .rings import (
-    MathCheckError,
     RingDescriptor,
     divisors,
     format_rational,
@@ -120,6 +124,8 @@ class PolysymElement:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict) or "basis" not in data or "terms" not in data:
+            raise ValueError('an element must be an object with "basis" and "terms"')
         basis = data["basis"]
         terms = {}
         for item in data["terms"]:
@@ -184,47 +190,17 @@ def _check_degree(d):
             "basis conversions are supported up to degree %d" % MAX_TABLE_DEGREE)
 
 
-def _m_to_h(d, coords):
-    table = incidence_table(d, "a_inv")
+def _apply(table, coords):
+    """The upper-triangular table times a coordinate vector: column j of
+    the table meets only its rows i <= j."""
     out = {}
     for lam, c in coords.items():
-        for tau in table.types:
-            v = table.value(tau, lam)
+        j = table._pos[lam]
+        for i in range(j + 1):
+            v = table.entries[i][j]
             if v:
+                tau = table.types[i]
                 out[tau] = out.get(tau, Fraction(0)) + c * v
-    return _clean(out)
-
-
-def _h_to_m(d, coords):
-    table = incidence_table(d, "a")
-    out = {}
-    for lam, c in coords.items():
-        for tau in table.types:
-            v = table.value(tau, lam)
-            if v:
-                out[tau] = out.get(tau, Fraction(0)) + c * v
-    return _clean(out)
-
-
-def _eplus_to_m(d, coords):
-    table = incidence_table(d, "e")
-    out = {}
-    for lam, c in coords.items():
-        for tau in table.types:
-            v = table.value(tau, lam)
-            if v:
-                out[tau] = out.get(tau, Fraction(0)) + c * v
-    return _clean(out)
-
-
-def _m_to_eplus(d, coords):
-    table = incidence_table(d, "e_inv")
-    out = {}
-    for tau, c in coords.items():
-        for lam in table.types:
-            v = table.value(lam, tau)
-            if v:
-                out[lam] = out.get(lam, Fraction(0)) + c * v
     return _clean(out)
 
 
@@ -233,7 +209,7 @@ def _e_single_in_h(b):
     """E_b in H coordinates: signed sum of squarefree monomial vectors."""
     coords_m = {tau: Fraction((-1) ** tau.length())
                 for tau in enumerate_types(b) if tau.is_unramified()}
-    return tuple(sorted(_m_to_h(b, coords_m).items(),
+    return tuple(sorted(_apply(incidence_table(b, "a_inv"), coords_m).items(),
                         key=lambda item: canonical_sort_key(item[0])))
 
 
@@ -241,7 +217,7 @@ def _e_single_in_h(b):
 def _p_single_in_h(b):
     """P_b in H coordinates."""
     coords_m = {SplittingType([(k, b // k)]): Fraction(k) for k in divisors(b)}
-    return tuple(sorted(_m_to_h(b, coords_m).items(),
+    return tuple(sorted(_apply(incidence_table(b, "a_inv"), coords_m).items(),
                         key=lambda item: canonical_sort_key(item[0])))
 
 
@@ -255,80 +231,33 @@ def _multiplicative_in_h(lam, single):
 
 
 @lru_cache(maxsize=None)
-def _basis_matrix_to_h(basis, d):
-    """Columns: basis vectors of degree d written in H coordinates."""
+def _basis_table(basis, d, inverse):
+    """The degree-d transition table from E or P to H, whose column lam is
+    the basis vector lam in H coordinates, or its inverse.  In canonical
+    order both are upper-triangular with a nonzero diagonal."""
+    types = list(enumerate_types(d))
+    if inverse:
+        table = _basis_table(basis, d, False)
+        return IncidenceTable(d, basis + "_inv", types,
+                              _invert_triangular(types, table.value))
     single = _e_single_in_h if basis == "E" else _p_single_in_h
-    types = list(enumerate_types(d))
-    columns = []
-    for lam in types:
-        coords = _multiplicative_in_h(lam, single)
-        columns.append([coords.get(tau, Fraction(0)) for tau in types])
-    return columns
+    columns = [_multiplicative_in_h(lam, single) for lam in types]
+    zero = Fraction(0)
+    return IncidenceTable(d, basis, types,
+                          [[col.get(tau, zero) for col in columns] for tau in types])
 
 
-@lru_cache(maxsize=None)
-def _basis_matrix_from_h(basis, d):
-    """Inverse of the degree-d transition matrix, by Gauss-Jordan."""
-    columns = _basis_matrix_to_h(basis, d)
-    size = len(columns)
-    work = [[columns[j][i] for j in range(size)] for i in range(size)]
-    inverse = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col]), None)
-        if pivot is None:
-            raise MathCheckError("basis transition matrix is singular",
-                                 {"basis": basis, "degree": d})
-        work[col], work[pivot] = work[pivot], work[col]
-        inverse[col], inverse[pivot] = inverse[pivot], inverse[col]
-        scale = work[col][col]
-        work[col] = [x / scale for x in work[col]]
-        inverse[col] = [x / scale for x in inverse[col]]
-        for row in range(size):
-            if row != col and work[row][col]:
-                factor = work[row][col]
-                work[row] = [x - factor * y for x, y in zip(work[row], work[col])]
-                inverse[row] = [x - factor * y
-                                for x, y in zip(inverse[row], inverse[col])]
-    return inverse
-
-
-def _to_h(basis, d, coords):
+def _chain(basis, d, to_h):
+    """The tables that carry degree-d coordinates in the basis to H (or,
+    if not to_h, from H to the basis), in the order they apply."""
     if d == 0 or basis == "H":
-        return dict(coords)
+        return []
     if basis == "M":
-        return _m_to_h(d, coords)
+        return [incidence_table(d, "a_inv" if to_h else "a")]
     if basis == "Eplus":
-        return _m_to_h(d, _eplus_to_m(d, coords))
-    columns = _basis_matrix_to_h(basis, d)
-    types = list(enumerate_types(d))
-    out = {}
-    for j, lam in enumerate(types):
-        c = coords.get(lam)
-        if not c:
-            continue
-        for i, tau in enumerate(types):
-            if columns[j][i]:
-                out[tau] = out.get(tau, Fraction(0)) + c * columns[j][i]
-    return _clean(out)
-
-
-def _from_h(basis, d, coords):
-    if d == 0 or basis == "H":
-        return dict(coords)
-    if basis == "M":
-        return _h_to_m(d, coords)
-    if basis == "Eplus":
-        return _m_to_eplus(d, _h_to_m(d, coords))
-    inverse = _basis_matrix_from_h(basis, d)
-    types = list(enumerate_types(d))
-    vector = [coords.get(tau, Fraction(0)) for tau in types]
-    out = {}
-    for i, lam in enumerate(types):
-        value = sum((inverse[i][j] * vector[j] for j in range(len(types))
-                     if vector[j]), Fraction(0))
-        if value:
-            out[lam] = value
-    return out
+        tags = ("e", "a_inv") if to_h else ("a", "e_inv")
+        return [incidence_table(d, tag) for tag in tags]
+    return [_basis_table(basis, d, not to_h)]
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +274,9 @@ def convert(element, target):
     for d in element.degrees():
         _check_degree(d)
         coords = element.graded_component(d).terms
-        converted = _from_h(target, d, _to_h(element.basis, d, coords))
-        for tau, c in converted.items():
+        for table in _chain(element.basis, d, True) + _chain(target, d, False):
+            coords = _apply(table, coords)
+        for tau, c in coords.items():
             out[tau] = out.get(tau, Fraction(0)) + c
     return PolysymElement(target, out)
 
@@ -381,7 +311,7 @@ def power_element(tau):
     out = {}
     for d in sorted({t.degree() for t in coords}):
         part = {t: c for t, c in coords.items() if t.degree() == d}
-        for t, c in (_h_to_m(d, part) if d else part).items():
+        for t, c in (_apply(incidence_table(d, "a"), part) if d else part).items():
             out[t] = out.get(t, Fraction(0)) + c
     return PolysymElement("M", out)
 

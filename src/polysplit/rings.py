@@ -141,7 +141,10 @@ def parse_rational(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"expected rational string, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x):

@@ -291,15 +291,6 @@ class TypePoset:
     def minimum(self):
         return SplittingType([(1, self.degree)])
 
-    def merge_neighbors(self, tau):
-        return merge_neighbors(tau)
-
-    def forget_neighbors(self, tau):
-        return forget_neighbors(tau)
-
-    def up_neighbors(self, tau):
-        return up_neighbors(tau)
-
     def relation_pairs(self):
         return set(self._relation)
 

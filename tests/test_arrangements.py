@@ -405,6 +405,12 @@ def test_disk_cache_can_be_bypassed(tmp_path, monkeypatch):
     arr._memory_tables.clear()
     arr.incidence_table(2, "a", use_cache=False)
     assert list(tmp_path.iterdir()) == []
+    # the memory cache is bypassed too: a fresh table, nothing stored
+    cached = arr.incidence_table(2, "a")
+    before = dict(arr._memory_tables)
+    fresh = arr.incidence_table(2, "a", use_cache=False)
+    assert fresh is not cached and fresh.entries == cached.entries
+    assert arr._memory_tables == before
     arr._memory_tables.clear()
 
 

@@ -195,6 +195,31 @@ def test_zeta_ring_mismatch(capsys, tmp_path):
 # exit codes
 
 
+MALFORMED_INPUTS = [
+    ("zeta", {"role": "closed", "values": [1, 2]}),
+    ("zeta", {"ring": "Z", "role": "closed"}),
+    ("zeta", {"ring": "Z", "role": "closed", "values": ["1/0"]}),
+    ("zeta", [2, 4, 8]),
+    ("polysym", {"basis": "M"}),
+    ("polysym", {"basis": "M", "terms": [{"type": [[1, 1]], "coeff": "1/0"}]}),
+    ("polysym", [{"basis": "M", "terms": []}]),
+]
+
+
+@pytest.mark.parametrize("command,content", MALFORMED_INPUTS)
+def test_malformed_input_files_give_one_error_line(capsys, tmp_path, command, content):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(content))
+    if command == "zeta":
+        args = ("zeta", "invert", "--ring", "Z", "--values", str(src))
+    else:
+        args = ("polysym", "convert", "--from", "M", "--to", "H", "--element", str(src))
+    code, _, err = run(capsys, *args)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 def test_math_failure_exits_two_with_record(capsys, tmp_path):
     bad = {"ring": "witt", "role": "closed",
            "values": [{"order": 4, "coeffs": ["2", "1", "0", "0", "0"]}]}

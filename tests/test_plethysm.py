@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from polysplit.plethysm import (
     MeasureSequence,
     binomial_strata,
-    conf_class,
     forward_zeta,
     generic_plethysm,
     invert_zeta,
@@ -538,7 +537,7 @@ def test_configuration_recurrence_symbolic():
     x = ring.variable(0)
 
     def conf(vec):
-        return conf_class(ring, x, vec)
+        return multinomial(ring, x, vec)
 
     for total in range(2, 6):
         for m in range(1, total):
@@ -553,11 +552,6 @@ def test_configuration_recurrence_symbolic():
                     child = child + (m - size,) + uvec
                     rhs = ring.sub(rhs, conf(child))
                 assert ring.eq(lhs, rhs)
-
-
-def test_conf_class_matches_multinomial():
-    ring = RationalRing()
-    assert conf_class(ring, Fraction(7), (2, 2)) == multinomial(ring, Fraction(7), (2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,30 @@ def test_conversion_round_trips_degree_7():
         assert convert(convert(x, basis), "M") == x
 
 
+def _matmul(x, y):
+    out = [[Fraction(0)] * len(y[0]) for _ in x]
+    for i, row in enumerate(x):
+        for k, a in enumerate(row):
+            if a:
+                for j, b in enumerate(y[k]):
+                    if b:
+                        out[i][j] += a * b
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_basis_transition_tables_times_inverse_are_identity(d):
+    # the inverses come from triangular back substitution, so this also
+    # checks that the E and P transition tables are upper-triangular
+    for basis in ("E", "P"):
+        table = ps._basis_table(basis, d, False).entries
+        inverse = ps._basis_table(basis, d, True).entries
+        identity = [[Fraction(int(i == j)) for j in range(len(table))]
+                    for i in range(len(table))]
+        assert _matmul(table, inverse) == identity, basis
+        assert _matmul(inverse, table) == identity, basis
+
+
 def test_conversion_degree_cap():
     x = PolysymElement.monomial("M", T("11"))
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polysplit.arrangements import count_arrangements, leq
 from polysplit.types import (
     SplittingType,
     TypePoset,
@@ -187,14 +188,16 @@ def test_reachability_bounds():
 
 
 def test_poset_matches_reachability():
-    # the arrangement order coincides with the merge/forget closure
-    for d in range(1, 7):
+    # the arrangement order coincides with the merge/forget closure, and
+    # the early-stopping order test agrees with the full count
+    for d in range(1, 9):
         p = poset(d)
         order = reachability_order(d)
         for tau in p.types:
             for lam in p.types:
                 expected = tau == lam or lam in order[tau]
                 assert p.leq(tau, lam) == expected, (tau.label(), lam.label())
+                assert leq(tau, lam) == (count_arrangements(tau, lam) > 0)
 
 
 def test_poset_extremes():
