@@ -28,8 +28,8 @@ from .rings import (
     PairRing,
     Poly,
     PolyRing,
+    QQ,
     RationalFunctionRing,
-    RationalRing,
     divisors,
     moebius,
     partition_count_bounded,
@@ -472,9 +472,9 @@ def _row_artin_hasse(p, upto=12):
     while power <= upto:
         exponent[power] = Fraction(1, power)
         power *= p
-    xs = ser_exp(exponent, upto)[1:]
+    xs = ser_exp(QQ, exponent, upto)[1:]
     return _check_factorization(
-        "artin-hasse-%d" % p, RationalRing(), xs,
+        "artin-hasse-%d" % p, QQ, xs,
         lambda d: Fraction(0) if d % p == 0 else Fraction(moebius(d), d), upto)
 
 

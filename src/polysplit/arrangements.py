@@ -17,6 +17,7 @@ tables exposed here.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -319,25 +320,17 @@ def _invert_triangular(types, value):
 
 def _compute_table(d, tag):
     types = list(enumerate_types(d))
-    if tag == "a":
-        entries = [[Fraction(count_arrangements(t, l)) for l in types] for t in types]
-    elif tag == "e":
-        entries = [[Fraction(count_arrangements(t, l, squarefree=True))
-                    for l in types] for t in types]
-    elif tag == "a_inv":
-        entries = _invert_triangular(
-            types, lambda t, l: Fraction(count_arrangements(t, l)))
-    elif tag == "e_inv":
-        entries = _invert_triangular(
-            types, lambda t, l: Fraction(count_arrangements(t, l, squarefree=True)))
-    elif tag == "mobius":
-        entries = _invert_triangular(types, _zeta_entry)
+    squarefree = tag in ("e", "e_inv")
+
+    def value(t, l):
+        return Fraction(count_arrangements(t, l, squarefree=squarefree))
+
+    if tag in ("a", "e"):
+        entries = [[value(t, l) for l in types] for t in types]
     else:
-        raise ValueError("unknown table tag %r" % (tag,))
+        entries = _invert_triangular(types, _zeta_entry if tag == "mobius" else value)
     if tag in ("a_inv", "e_inv"):
-        bound = 1
-        for k in range(2, d + 1):
-            bound *= k
+        bound = math.factorial(d)
         for row in entries:
             for x in row:
                 if (x * bound).denominator != 1:
@@ -473,14 +466,10 @@ def top_stratum_inverse(tau):
         return Fraction(0)
     r = len(tau.parts)
     value = Fraction(moebius(m), m) * Fraction((-1) ** (r - 1), r)
-    numerator = 1
-    for k in range(1, r + 1):
-        numerator *= k
     denominator = 1
     for count in tau.part_counts().values():
-        for k in range(1, count + 1):
-            denominator *= k
-    return value * Fraction(numerator, denominator)
+        denominator *= math.factorial(count)
+    return value * Fraction(math.factorial(r), denominator)
 
 
 @lru_cache(maxsize=None)

@@ -146,6 +146,26 @@ def arr_tilings(tau_text, lam_text, render):
 
 
 # ---------------------------------------------------------------------------
+# input files
+
+
+def _read_input(path, from_json):
+    """Parse a JSON input file with ``from_json``.
+
+    A file whose structure ``from_json`` cannot walk (a missing key, a short
+    list, a value of the wrong type, a zero denominator) is a usage error
+    naming the file, not a traceback.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    try:
+        return from_json(data)
+    except (KeyError, IndexError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError("malformed input file %s (%s: %s)"
+                         % (path, type(exc).__name__, exc)) from None
+
+
+# ---------------------------------------------------------------------------
 # polysymmetric bases
 
 
@@ -156,8 +176,7 @@ def arr_tilings(tau_text, lam_text, render):
 @click.option("--element", "path", type=click.Path(exists=True), required=True)
 def polysym_cmd(action, source, target, path):
     """Convert an element file between bases."""
-    with open(path, "r", encoding="utf-8") as handle:
-        element = PolysymElement.from_json(json.load(handle))
+    element = _read_input(path, PolysymElement.from_json)
     if element.basis != source:
         raise ValueError(
             "element file is in basis %r, not %r" % (element.basis, source))
@@ -175,8 +194,7 @@ def polysym_cmd(action, source, target, path):
 @click.option("--upto", type=int, default=None)
 def zeta_cmd(direction, token, path, upto):
     """Invert a closed-stratum sequence, or expand an irreducible one."""
-    with open(path, "r", encoding="utf-8") as handle:
-        sequence = MeasureSequence.from_json(json.load(handle))
+    sequence = _read_input(path, MeasureSequence.from_json)
     if sequence.ring.name != token:
         raise ValueError(
             "values file is over ring %r, not %r" % (sequence.ring.name, token))

@@ -39,50 +39,7 @@ from .types import SplittingType, enumerate_types
 
 
 # ---------------------------------------------------------------------------
-# order-aware helpers; only rings with truncation orders are affected
-
-
-def _align(ring, x, y):
-    ox, oy = ring.order_of(x), ring.order_of(y)
-    if ox is None or oy is None or ox == oy:
-        return x, y
-    order = min(ox, oy)
-    return ring.truncate(x, order), ring.truncate(y, order)
-
-
-def _add(ring, x, y):
-    x, y = _align(ring, x, y)
-    return ring.add(x, y)
-
-
-def _sub(ring, x, y):
-    x, y = _align(ring, x, y)
-    return ring.sub(x, y)
-
-
-def _mul(ring, x, y):
-    x, y = _align(ring, x, y)
-    return ring.mul(x, y)
-
-
-def _scalar(ring, n, x):
-    if n == 1:
-        return x
-    whole = ring.from_int(n)
-    order = ring.order_of(x)
-    if order is not None:
-        whole = ring.truncate(whole, order)
-    return ring.mul(whole, x)
-
-
-def _sum(ring, terms):
-    terms = list(terms)
-    if not terms:
-        return ring.zero()
-    total = terms[0]
-    for term in terms[1:]:
-        total = _add(ring, total, term)
-    return total
+# exact combinations
 
 
 def _exact_div(ring, x, d, context):
@@ -100,7 +57,7 @@ def _rational_combination(ring, pairs, context):
     scale = 1
     for c, _v in pairs:
         scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    total = _sum(ring, (_scalar(ring, int(c * scale), v) for c, v in pairs))
+    total = ring.sum(ring.scalar_mul_int(int(c * scale), v) for c, v in pairs)
     if scale == 1:
         return total
     return _exact_div(ring, total, scale, context)
@@ -129,9 +86,9 @@ def _newton_values(ring, xs, upto):
     """P_1 ... P_upto evaluated on ring elements by the same recurrence."""
     powers = [None]
     for k in range(1, upto + 1):
-        p = _scalar(ring, k, xs[k - 1])
+        p = ring.scalar_mul_int(k, xs[k - 1])
         for i in range(1, k):
-            p = _sub(ring, p, _mul(ring, xs[i - 1], powers[k - i]))
+            p = ring.sub(p, ring.mul(xs[i - 1], powers[k - i]))
         powers.append(p)
     return powers
 
@@ -159,8 +116,8 @@ def invert_zeta(ring, values, upto=None):
         for m in divisors(d):
             mu = moebius(d // m)
             if mu:
-                terms.append(_scalar(ring, mu, ring.adams(d // m, powers[m])))
-        total = _sum(ring, terms)
+                terms.append(ring.scalar_mul_int(mu, ring.adams(d // m, powers[m])))
+        total = ring.sum(terms)
         us.append(_exact_div(ring, total, d, {"degree": d, "direction": "invert"}))
     return us
 
@@ -175,13 +132,12 @@ def forward_zeta(ring, values, upto=None):
                          % (upto, upto))
     big_p = [None]
     for i in range(1, upto + 1):
-        terms = [_scalar(ring, k, ring.adams(i // k, us[k - 1]))
+        terms = [ring.scalar_mul_int(k, ring.adams(i // k, us[k - 1]))
                  for k in divisors(i)]
-        big_p.append(_sum(ring, terms))
+        big_p.append(ring.sum(terms))
     xs = [ring.one()]
     for d in range(1, upto + 1):
-        total = _sum(ring, (_mul(ring, big_p[i], xs[d - i])
-                            for i in range(1, d + 1)))
+        total = ring.sum(ring.mul(big_p[i], xs[d - i]) for i in range(1, d + 1))
         xs.append(_exact_div(ring, total, d,
                              {"degree": d, "direction": "forward"}))
     return xs[1:]
@@ -209,7 +165,7 @@ def stratum_closed(ring, xs, tau):
     for b, m in tau.parts:
         if b > len(xs):
             raise ValueError("need x_1..x_%d for this type" % b)
-        total = _mul(ring, total, ring.adams(m, xs[b - 1]))
+        total = ring.mul(total, ring.adams(m, xs[b - 1]))
     return total
 
 
@@ -232,9 +188,8 @@ def stratum_from_virtual(ring, xs, lam):
     for tau in table.types:
         coeff = table.value(tau, lam)
         if coeff:
-            terms.append(_scalar(ring, int(coeff),
-                                 virtual_stratum(ring, xs, tau)))
-    return _sum(ring, terms)
+            terms.append(ring.scalar_mul_int(int(coeff), virtual_stratum(ring, xs, tau)))
+    return ring.sum(terms)
 
 
 def generic_plethysm(ring, xs, element):
@@ -263,7 +218,7 @@ def multinomial(ring, x, counts):
     total = sum(counts)
     product = ring.one()
     for j in range(total):
-        product = _mul(ring, product, _sub(ring, x, ring.from_int(j)))
+        product = ring.mul(product, ring.sub(x, ring.from_int(j)))
     denominator = 1
     for n in counts:
         denominator *= math.factorial(n)
@@ -283,7 +238,7 @@ def binomial_strata(ring, us, tau):
         counts = list(tau.slot_multiplicities(p))
         while counts and counts[-1] == 0:
             counts.pop()
-        total = _mul(ring, total, multinomial(ring, us[p - 1], counts))
+        total = ring.mul(total, multinomial(ring, us[p - 1], counts))
     return total
 
 
@@ -314,7 +269,7 @@ def powerfree(ring, xs, n, shape):
         total = ring.one()
         for d in dvec:
             if d:
-                total = _mul(ring, total, xs[d - 1])
+                total = ring.mul(total, xs[d - 1])
         return total
 
     def recurse(dvec):
@@ -325,7 +280,7 @@ def powerfree(ring, xs, n, shape):
         b = 1
         while n * b <= smallest:
             shifted = tuple(d - n * b for d in dvec)
-            value = _sub(ring, value, _mul(ring, recurse(shifted), xs[b - 1]))
+            value = ring.sub(value, ring.mul(recurse(shifted), xs[b - 1]))
             b += 1
         memo[dvec] = value
         return value

@@ -364,17 +364,8 @@ class PolysymRing(RingDescriptor):
     def from_int(self, n):
         return PolysymElement.monomial("H", _H_ONE_TYPE, n)
 
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
     def mul(self, x, y):
         return PolysymElement("H", _h_mul(x.terms, y.terms))
-
-    def eq(self, x, y):
-        return x == y
 
     def adams(self, r, x):
         self._check_r(r)

@@ -428,54 +428,65 @@ class RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# plain Fraction series kernels (shared by the Witt ring)
+# series kernels over a ring descriptor (shared by the Witt ring and
+# TruncatedSeries); a series is the list of its coefficients up to ``order``
 
 
-def ser_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
+def _div_exact(ring, x, n):
+    y = ring.exact_div_by_int(x, n)
+    if y is None:
+        raise ValueError(f"series coefficient not divisible by {n}")
+    return y
+
+
+def ser_mul(ring, a, b, order):
+    add, mul, zero = ring.add, ring.mul, ring.zero()
+    out = [zero] * (order + 1)
     for i, ai in enumerate(a[: order + 1]):
-        if ai == 0:
+        if ring.eq(ai, zero):
             continue
         for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] += ai * bj
+            out[i + j] = add(out[i + j], mul(ai, bj))
     return out
 
-def ser_inv(f, order):
-    if f[0] != 1:
+
+def ser_inv(ring, f, order):
+    add, mul, zero, one = ring.add, ring.mul, ring.zero(), ring.one()
+    if not ring.eq(f[0], one):
         raise ValueError("series inverse requires constant term 1")
-    g = [Fraction(0)] * (order + 1)
-    g[0] = Fraction(1)
+    g = [one] + [zero] * order
     for n in range(1, order + 1):
-        acc = Fraction(0)
+        acc = zero
         for k in range(1, n + 1):
-            if k < len(f):
-                acc += f[k] * g[n - k]
-        g[n] = -acc
+            acc = add(acc, mul(f[k], g[n - k]))
+        g[n] = ring.neg(acc)
     return g
 
-def ser_log(f, order):
-    if f[0] != 1:
+
+def ser_log(ring, f, order):
+    add, mul, scale, zero = ring.add, ring.mul, ring.scalar_mul_int, ring.zero()
+    if not ring.eq(f[0], ring.one()):
         raise ValueError("series log requires constant term 1")
-    g = [Fraction(0)] * (order + 1)
+    g = [zero] * (order + 1)
     for n in range(1, order + 1):
-        acc = Fraction(0)
+        acc = zero
         for k in range(1, n):
-            acc += k * g[k] * (f[n - k] if n - k < len(f) else Fraction(0))
-        fn = f[n] if n < len(f) else Fraction(0)
-        g[n] = fn - acc / n
+            acc = add(acc, mul(scale(k, g[k]), f[n - k]))
+        g[n] = ring.sub(f[n], _div_exact(ring, acc, n))
     return g
 
-def ser_exp(f, order):
-    if f and f[0] != 0:
+
+def ser_exp(ring, f, order):
+    add, mul, scale, zero, one = (ring.add, ring.mul, ring.scalar_mul_int,
+                                  ring.zero(), ring.one())
+    if not ring.eq(f[0], zero):
         raise ValueError("series exp requires constant term 0")
-    g = [Fraction(0)] * (order + 1)
-    g[0] = Fraction(1)
+    g = [one] + [zero] * order
     for n in range(1, order + 1):
-        acc = Fraction(0)
+        acc = zero
         for k in range(1, n + 1):
-            fk = f[k] if k < len(f) else Fraction(0)
-            acc += k * fk * g[n - k]
-        g[n] = acc / n
+            acc = add(acc, mul(scale(k, f[k]), g[n - k]))
+        g[n] = _div_exact(ring, acc, n)
     return g
 
 
@@ -514,7 +525,7 @@ class WittElement:
 
     def ghost(self):
         """Ghost coordinates (g_1, ..., g_N)."""
-        logs = ser_log(self.coeffs, self.order)
+        logs = ser_log(QQ, self.coeffs, self.order)
         return [i * logs[i] for i in range(1, self.order + 1)]
 
     @classmethod
@@ -522,11 +533,13 @@ class WittElement:
         f = [Fraction(0)] * (len(ghosts) + 1)
         for i, g in enumerate(ghosts, start=1):
             f[i] = Fraction(g) / i
-        return cls(ser_exp(f, len(ghosts)))
+        return cls(ser_exp(QQ, f, len(ghosts)))
 
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a Witt element")
+        if order == self.order:
+            return self
         return WittElement(self.coeffs[: order + 1])
 
     def __eq__(self, other):
@@ -562,7 +575,8 @@ class RingDescriptor:
     Contract: ``adams(1, x) = x``; adams is additive; for all shipped rings it
     is separable (``adams(a, adams(b, x)) = adams(ab, x)``).
     ``exact_div_by_int`` returns None (not an exception) when no exact
-    quotient exists.
+    quotient exists.  ``add``, ``neg``, ``mul`` and ``eq`` default to the
+    elements' Python operators.
     """
 
     name = "abstract"
@@ -577,19 +591,19 @@ class RingDescriptor:
         raise NotImplementedError
 
     def add(self, x, y):
-        raise NotImplementedError
+        return x + y
 
     def neg(self, x):
-        raise NotImplementedError
+        return -x
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
     def mul(self, x, y):
-        raise NotImplementedError
+        return x * y
 
     def eq(self, x, y):
-        raise NotImplementedError
+        return x == y
 
     def is_zero(self, x):
         return self.eq(x, self.zero())
@@ -601,10 +615,15 @@ class RingDescriptor:
         raise NotImplementedError
 
     def scalar_mul_int(self, n, x):
+        if n == 1:
+            return x
         return self.mul(self.from_int(n), x)
 
     def sum(self, elements):
-        total = self.zero()
+        elements = iter(elements)
+        total = next(elements, None)
+        if total is None:
+            return self.zero()
         for e in elements:
             total = self.add(total, e)
         return total
@@ -644,18 +663,6 @@ class IntegerRing(RingDescriptor):
     def from_int(self, n):
         return int(n)
 
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
-    def eq(self, x, y):
-        return x == y
-
     def adams(self, r, x):
         self._check_r(r)
         return x
@@ -673,7 +680,7 @@ class IntegerRing(RingDescriptor):
             if f.denominator != 1:
                 raise ValueError(f"{obj!r} is not an integer")
             return f.numerator
-        if isinstance(obj, int):
+        if isinstance(obj, int) and not isinstance(obj, bool):
             return obj
         raise ValueError(f"integer JSON expected, got {obj!r}")
 
@@ -692,18 +699,6 @@ class RationalRing(RingDescriptor):
     def from_int(self, n):
         return Fraction(n)
 
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
-    def eq(self, x, y):
-        return x == y
-
     def adams(self, r, x):
         self._check_r(r)
         return x
@@ -719,6 +714,9 @@ class RationalRing(RingDescriptor):
 
     def show(self, x):
         return format_rational(x)
+
+
+QQ = RationalRing()
 
 
 class PolyRing(RingDescriptor):
@@ -749,18 +747,6 @@ class PolyRing(RingDescriptor):
 
     def from_int(self, n):
         return Poly.const(n, var=self.var)
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
-    def eq(self, x, y):
-        return x == y
 
     def adams(self, r, x):
         self._check_r(r)
@@ -801,18 +787,6 @@ class RationalFunctionRing(RingDescriptor):
 
     def from_int(self, n):
         return RatFunc.from_poly(Poly.const(n, var=self.var))
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
-    def eq(self, x, y):
-        return x == y
 
     def adams(self, r, x):
         self._check_r(r)
@@ -890,7 +864,8 @@ class WittRing(RingDescriptor):
 
     Addition is power-series multiplication; multiplication is componentwise
     on ghost coordinates; ``adams(r, f)`` reindexes ghosts by r and therefore
-    lands in order floor(N / r).  Binary operations require equal orders.
+    lands in order floor(N / r).  Binary operations truncate both operands
+    to the smaller order, which is a ring map W_N -> W_M.
     """
 
     name = "witt"
@@ -899,10 +874,6 @@ class WittRing(RingDescriptor):
         if order < 0:
             raise ValueError("Witt truncation order must be >= 0")
         self.order = order
-
-    def _require_same_order(self, x, y):
-        if x.order != y.order:
-            raise ValueError("Witt operations require equal truncation orders")
 
     def zero(self):
         return WittElement([Fraction(1)] + [Fraction(0)] * self.order)
@@ -914,19 +885,15 @@ class WittRing(RingDescriptor):
         return WittElement.from_ghost([Fraction(n)] * self.order)
 
     def add(self, x, y):
-        self._require_same_order(x, y)
-        return WittElement(ser_mul(x.coeffs, y.coeffs, x.order))
+        return WittElement(ser_mul(QQ, x.coeffs, y.coeffs, min(x.order, y.order)))
 
     def neg(self, x):
-        return WittElement(ser_inv(x.coeffs, x.order))
+        return WittElement(ser_inv(QQ, x.coeffs, x.order))
 
     def mul(self, x, y):
-        self._require_same_order(x, y)
-        gx, gy = x.ghost(), y.ghost()
+        order = min(x.order, y.order)
+        gx, gy = x.truncate(order).ghost(), y.truncate(order).ghost()
         return WittElement.from_ghost([a * b for a, b in zip(gx, gy)])
-
-    def eq(self, x, y):
-        return x == y
 
     def adams(self, r, x):
         self._check_r(r)
@@ -937,8 +904,8 @@ class WittRing(RingDescriptor):
 
     def exact_div_by_int(self, x, d):
         # n-th root of the series: exp(log(x) / d), always exact over Q
-        logs = ser_log(x.coeffs, x.order)
-        return WittElement(ser_exp([c / d for c in logs], x.order))
+        logs = ser_log(QQ, x.coeffs, x.order)
+        return WittElement(ser_exp(QQ, [c / d for c in logs], x.order))
 
     def order_of(self, x):
         return x.order
@@ -1103,18 +1070,6 @@ class MPolyRing(RingDescriptor):
     def from_int(self, n):
         return MPoly.const(self.nvars, n)
 
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
-    def eq(self, x, y):
-        return x == y
-
     def adams(self, r, x):
         self._check_r(r)
         if self.adams_mode == "trivial":
@@ -1197,62 +1152,21 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         order = min(self.order, other.order)
-        out = [self.ring.zero() for _ in range(order + 1)]
-        for i in range(order + 1):
-            a = self.coeffs[i]
-            if self.ring.is_zero(a):
-                continue
-            for j in range(order + 1 - i):
-                out[i + j] = self.ring.add(out[i + j], self.ring.mul(a, other.coeffs[j]))
-        return TruncatedSeries(self.ring, out, order=order)
+        return TruncatedSeries(self.ring, ser_mul(self.ring, self.coeffs, other.coeffs, order))
 
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.ring, self.coeffs[: order + 1], order=order)
 
-    def _div_int(self, x, n):
-        y = self.ring.exact_div_by_int(x, n)
-        if y is None:
-            raise ValueError(f"series coefficient not divisible by {n}")
-        return y
-
     def inverse(self):
-        if not self.ring.eq(self.coeffs[0], self.ring.one()):
-            raise ValueError("series inverse requires constant term 1")
-        out = [self.ring.zero() for _ in range(self.order + 1)]
-        out[0] = self.ring.one()
-        for n in range(1, self.order + 1):
-            acc = self.ring.zero()
-            for k in range(1, n + 1):
-                acc = self.ring.add(acc, self.ring.mul(self.coeffs[k], out[n - k]))
-            out[n] = self.ring.neg(acc)
-        return TruncatedSeries(self.ring, out, order=self.order)
+        return TruncatedSeries(self.ring, ser_inv(self.ring, self.coeffs, self.order))
 
     def exp(self):
-        if not self.ring.is_zero(self.coeffs[0]):
-            raise ValueError("series exp requires constant term 0")
-        out = [self.ring.zero() for _ in range(self.order + 1)]
-        out[0] = self.ring.one()
-        for n in range(1, self.order + 1):
-            acc = self.ring.zero()
-            for k in range(1, n + 1):
-                term = self.ring.mul(self.ring.scalar_mul_int(k, self.coeffs[k]), out[n - k])
-                acc = self.ring.add(acc, term)
-            out[n] = self._div_int(acc, n)
-        return TruncatedSeries(self.ring, out, order=self.order)
+        return TruncatedSeries(self.ring, ser_exp(self.ring, self.coeffs, self.order))
 
     def log(self):
-        if not self.ring.eq(self.coeffs[0], self.ring.one()):
-            raise ValueError("series log requires constant term 1")
-        out = [self.ring.zero() for _ in range(self.order + 1)]
-        for n in range(1, self.order + 1):
-            acc = self.ring.zero()
-            for k in range(1, n):
-                term = self.ring.mul(self.ring.scalar_mul_int(k, out[k]), self.coeffs[n - k])
-                acc = self.ring.add(acc, term)
-            out[n] = self.ring.sub(self.coeffs[n], self._div_int(acc, n))
-        return TruncatedSeries(self.ring, out, order=self.order)
+        return TruncatedSeries(self.ring, ser_log(self.ring, self.coeffs, self.order))
 
     def __eq__(self, other):
         return (

@@ -4,12 +4,21 @@ Each test drives ``polysplit.cli.main`` with an argv list and inspects the
 exit code plus captured output, exactly as a shell user would see it.
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysplit.arrangements import incidence_table
 from polysplit.cli import main
+from polysplit.polysym import BASES
+from polysplit.rings import RING_TOKENS
+from polysplit.types import enumerate_types
 
 
 def run(capsys, *args):
@@ -203,6 +212,15 @@ MALFORMED_INPUTS = [
     ("polysym", {"basis": "M"}),
     ("polysym", {"basis": "M", "terms": [{"type": [[1, 1]], "coeff": "1/0"}]}),
     ("polysym", [{"basis": "M", "terms": []}]),
+    ("zeta", {"ring": "witt", "values": ["1"]}),
+    ("zeta", {"ring": "Z", "values": 5}),
+    ("zeta", {"ring": "witt", "values": [{"order": None, "coeffs": ["1"]}]}),
+    ("zeta", {"ring": "ratfunc", "values": [{"num": {"coeffs": {"0": "1"}}}]}),
+    ("zeta", {"ring": "polyQ", "values": [{"coeffs": [1, 2]}]}),
+    ("zeta", {"ring": "Z", "values": [True, 2]}),
+    ("polysym", {"basis": "M", "terms": [{"coeff": "1"}]}),
+    ("polysym", {"basis": "M", "terms": [{"type": [[1]], "coeff": "1"}]}),
+    ("polysym", {"basis": "M", "terms": 3}),
 ]
 
 
@@ -211,13 +229,107 @@ def test_malformed_input_files_give_one_error_line(capsys, tmp_path, command, co
     src = tmp_path / "input.json"
     src.write_text(json.dumps(content))
     if command == "zeta":
-        args = ("zeta", "invert", "--ring", "Z", "--values", str(src))
+        token = content.get("ring", "Z") if isinstance(content, dict) else "Z"
+        args = ("zeta", "invert", "--ring", token, "--values", str(src))
     else:
         args = ("polysym", "convert", "--from", "M", "--to", "H", "--element", str(src))
     code, _, err = run(capsys, *args)
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+# Generated inputs stay small (lists of at most 4 items, type degree at most
+# 6) so that no example builds a large table.  Each file is well formed, has
+# junk mixed into its list, or is junk where the reader expects structure.
+_INT = st.integers(-3, 3)
+_JUNK = st.one_of(st.none(), st.booleans(), _INT, st.text(max_size=3),
+                  st.lists(_INT, max_size=2), st.dictionaries(st.text(max_size=2), _INT, max_size=1))
+_RATIONAL = st.one_of(_INT, st.builds("{}/{}".format, _INT, st.integers(0, 3)))
+
+
+def _list_of(valid, loose):
+    return st.one_of(st.lists(valid, min_size=1, max_size=4), st.lists(loose, max_size=4), _JUNK)
+
+
+_POLY = st.fixed_dictionaries(
+    {"coeffs": st.dictionaries(st.sampled_from(["0", "1", "2"]), _RATIONAL, max_size=3)})
+_WITT = st.builds(lambda head, tail: {"order": len(tail), "coeffs": [head] + tail},
+                  st.one_of(st.just("1"), _RATIONAL), st.lists(_RATIONAL, max_size=3))
+_RING_VALUE = {
+    "Z": _RATIONAL,
+    "Q": _RATIONAL,
+    "polyZ": _POLY,
+    "polyQ": _POLY,
+    "ratfunc": st.one_of(_POLY, st.fixed_dictionaries({"num": _POLY, "den": _POLY})),
+    "pair": st.lists(_RATIONAL, min_size=2, max_size=2),
+    "witt": _WITT,
+}
+_LOOSE_VALUE = st.one_of(
+    _JUNK, st.lists(_RATIONAL, max_size=3),
+    st.fixed_dictionaries({}, optional={"order": st.one_of(_INT, _JUNK), "coeffs": _JUNK,
+                                        "num": _POLY, "den": _JUNK}))
+_VALUES_FILE = st.sampled_from(RING_TOKENS).flatmap(lambda token: st.tuples(
+    st.just(token),
+    st.fixed_dictionaries(
+        {"ring": st.just(token),
+         "values": _list_of(_RING_VALUE[token], st.one_of(_RING_VALUE[token], _LOOSE_VALUE))},
+        optional={"role": st.sampled_from(["closed", "irreducible"])})))
+_PARTS = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1, max_size=4).filter(
+    lambda parts: sum(b * m for b, m in parts) <= 6)
+_TYPE_JSON = _PARTS.map(lambda parts: [list(p) for p in parts])
+_LOOSE_TERM = st.fixed_dictionaries({}, optional={
+    "type": st.one_of(_TYPE_JSON, _JUNK, st.lists(st.lists(st.integers(-1, 2), max_size=3),
+                                                  max_size=1)),
+    "coeff": st.one_of(_RATIONAL, _JUNK)})
+_TERM = st.fixed_dictionaries({"type": _TYPE_JSON, "coeff": _RATIONAL})
+_ELEMENT_FILE = st.fixed_dictionaries({
+    "basis": st.one_of(st.just("M"), st.sampled_from(BASES), _JUNK),
+    "terms": _list_of(_TERM, st.one_of(_TERM, _LOOSE_TERM)),
+})
+_TYPE_TEXT = st.one_of(
+    _PARTS.map(lambda parts: ",".join("%d^%d" % p for p in parts)),
+    st.builds(lambda pieces, sep, paren: ("(%s)" if paren else "%s") % sep.join(pieces),
+              st.lists(st.sampled_from(["1", "2", "x", "1^", "^2", "1^2^3", "0^1", "-1", "()"]),
+                       max_size=2),
+              st.sampled_from([",", " ", "; "]), st.booleans()))
+_SAME_DEGREE = st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.sampled_from([tau.label() for tau in enumerate_types(d)]), min_size=2, max_size=2))
+_ARGV = st.one_of(
+    st.tuples(st.just("zeta"), st.sampled_from(["invert", "forward"]), _VALUES_FILE),
+    st.tuples(st.just("polysym"), st.sampled_from(BASES), _ELEMENT_FILE),
+    st.tuples(st.just("arr"), st.one_of(_SAME_DEGREE, st.lists(_TYPE_TEXT, min_size=2, max_size=2)),
+              st.booleans()),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ARGV)
+def test_generated_inputs_never_raise(case):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "input.json")
+        if case[0] == "zeta":
+            _, direction, (token, content) = case
+            argv = ["zeta", direction, "--ring", token, "--values", path]
+        elif case[0] == "polysym":
+            _, target, content = case
+            argv = ["polysym", "convert", "--from", "M", "--to", target, "--element", path]
+        else:
+            _, (tau, lam), squarefree = case
+            content = None
+            argv = ["arr", "count", "--tau", tau, "--lambda", lam] + (
+                ["--squarefree"] if squarefree else [])
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(content, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+    elif code == 2:
+        assert json.loads(err.getvalue())["error"] == "math-check-failure"
 
 
 def test_math_failure_exits_two_with_record(capsys, tmp_path):

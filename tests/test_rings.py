@@ -300,6 +300,18 @@ def test_witt_ghost_is_ring_homomorphism():
         assert ring.mul(x, y).ghost() == [a * b for a, b in zip(gx, gy)]
 
 
+def test_witt_operations_truncate_to_the_smaller_order():
+    ring = WittRing(8)
+    x = WittElement([Fraction(1), Fraction(2), Fraction(-1, 3)] +
+                    [Fraction(k, 5) for k in range(6)])
+    y = WittElement.geometric(Fraction(3), 4)
+    short = x.truncate(4)
+    for op in (ring.add, ring.sub, ring.mul):
+        assert op(x, y).order == 4
+        assert ring.eq(op(x, y), op(short, y))
+        assert ring.eq(op(y, x), op(y, short))
+
+
 def test_witt_ghost_round_trip():
     ghosts = [Fraction(k * k - 3, 2) for k in range(1, 13)]
     x = WittElement.from_ghost(ghosts)
