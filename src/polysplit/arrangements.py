@@ -35,6 +35,7 @@ TABLE_TAGS = ("a", "e", "a_inv", "e_inv", "mobius")
 
 MAX_TABLE_DEGREE = 10
 MAX_ORACLE_DEGREE = 5
+MAX_ENUMERATED_ARRANGEMENTS = 10_000
 
 # Bump when the table layout or the counting conventions change, so stale
 # disk caches are ignored rather than trusted.
@@ -224,8 +225,15 @@ class Arrangement:
 
 
 def enumerate_arrangements(tau, lam, squarefree=False):
-    """All arrangement matrices from tau to lam, in lexicographic order."""
-    _check_degrees(tau, lam)
+    """All arrangement matrices from tau to lam, in lexicographic order.
+
+    Raises ValueError when there are more than MAX_ENUMERATED_ARRANGEMENTS
+    of them; count_arrangements gives the number without building any.
+    """
+    total = count_arrangements(tau, lam, squarefree)
+    if total > MAX_ENUMERATED_ARRANGEMENTS:
+        raise ValueError("%d arrangements from %s to %s; at most %d are enumerated"
+                         % (total, tau.label(), lam.label(), MAX_ENUMERATED_ARRANGEMENTS))
     degs = [b for b, _ in tau.parts]
 
     def walk(j, residual, columns):

@@ -32,9 +32,12 @@ from .arrangements import (
 )
 from .rings import (
     RingDescriptor,
+    add_terms,
     divisors,
     format_rational,
     parse_rational,
+    show_terms,
+    sparse_mul,
 )
 from .types import (
     SplittingType,
@@ -89,10 +92,7 @@ class PolysymElement:
     def __add__(self, other):
         if self.basis != other.basis:
             raise ValueError("cannot add elements in different bases")
-        terms = dict(self.terms)
-        for tau, c in other.terms.items():
-            terms[tau] = terms.get(tau, Fraction(0)) + c
-        return PolysymElement(self.basis, terms)
+        return PolysymElement(self.basis, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return self.scale(-1)
@@ -126,31 +126,12 @@ class PolysymElement:
     def from_json(cls, data):
         if not isinstance(data, dict) or "basis" not in data or "terms" not in data:
             raise ValueError('an element must be an object with "basis" and "terms"')
-        basis = data["basis"]
-        terms = {}
-        for item in data["terms"]:
-            tau = SplittingType.from_json(item["type"])
-            coeff = parse_rational(item["coeff"])
-            terms[tau] = terms.get(tau, Fraction(0)) + coeff
-        return cls(basis, terms)
+        return cls(data["basis"], add_terms({}, (
+            (SplittingType.from_json(item["type"]), parse_rational(item["coeff"]))
+            for item in data["terms"])))
 
     def show(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for tau, c in self.sorted_terms():
-            label = "%s%s" % (self.basis, tau.label())
-            if c == 1:
-                text = label
-            elif c == -1:
-                text = "-" + label
-            else:
-                text = "%s*%s" % (format_rational(c), label)
-            pieces.append(text)
-        out = pieces[0]
-        for text in pieces[1:]:
-            out += " - " + text[1:] if text.startswith("-") else " + " + text
-        return out
+        return show_terms((self.basis + tau.label(), c) for tau, c in self.sorted_terms())
 
     def __repr__(self):
         return "PolysymElement(%s)" % self.show()
@@ -160,25 +141,13 @@ class PolysymElement:
 # coordinate dictionaries and the H-basis arithmetic core
 
 
-def _clean(coords):
-    return {tau: c for tau, c in coords.items() if c}
-
-
 def _h_mul(left, right):
-    out = {}
-    for tau, a in left.items():
-        for sigma, b in right.items():
-            key = tau.union(sigma)
-            out[key] = out.get(key, Fraction(0)) + a * b
-    return _clean(out)
+    return sparse_mul(left, right, SplittingType.union)
 
 
 def _h_adams(r, coords):
-    out = {}
-    for tau, c in coords.items():
-        key = SplittingType([(b, r * m) for b, m in tau.parts])
-        out[key] = out.get(key, Fraction(0)) + c
-    return _clean(out)
+    return add_terms({}, ((SplittingType([(b, r * m) for b, m in tau.parts]), c)
+                          for tau, c in coords.items()))
 
 
 _H_ONE_TYPE = SplittingType([])
@@ -196,12 +165,9 @@ def _apply(table, coords):
     out = {}
     for lam, c in coords.items():
         j = table._pos[lam]
-        for i in range(j + 1):
-            v = table.entries[i][j]
-            if v:
-                tau = table.types[i]
-                out[tau] = out.get(tau, Fraction(0)) + c * v
-    return _clean(out)
+        add_terms(out, [(tau, c * row[j]) for tau, row in zip(table.types[:j + 1], table.entries)
+                        if row[j]])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -276,8 +242,7 @@ def convert(element, target):
         coords = element.graded_component(d).terms
         for table in _chain(element.basis, d, True) + _chain(target, d, False):
             coords = _apply(table, coords)
-        for tau, c in coords.items():
-            out[tau] = out.get(tau, Fraction(0)) + c
+        add_terms(out, coords.items())
     return PolysymElement(target, out)
 
 
@@ -311,8 +276,7 @@ def power_element(tau):
     out = {}
     for d in sorted({t.degree() for t in coords}):
         part = {t: c for t, c in coords.items() if t.degree() == d}
-        for t, c in (_apply(incidence_table(d, "a"), part) if d else part).items():
-            out[t] = out.get(t, Fraction(0)) + c
+        add_terms(out, (_apply(incidence_table(d, "a"), part) if d else part).items())
     return PolysymElement("M", out)
 
 
@@ -334,9 +298,8 @@ def omega(element):
     out = {}
     for tau, c in h_coords.items():
         image = _multiplicative_in_h(tau, _e_single_in_h)
-        for sigma, v in image.items():
-            out[sigma] = out.get(sigma, Fraction(0)) + c * v
-    return convert(PolysymElement("H", _clean(out)), element.basis)
+        add_terms(out, [(sigma, c * v) for sigma, v in image.items()])
+    return convert(PolysymElement("H", out), element.basis)
 
 
 def hilbert_series(order):

@@ -15,6 +15,7 @@ No floating point is used anywhere; all scalars are ints or
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -156,6 +157,55 @@ def format_rational(x):
 
 
 # ---------------------------------------------------------------------------
+# sparse term dicts: the one kernel behind Poly, MPoly and polysym elements,
+# each a map from monomial keys to nonzero coefficients
+
+
+def add_terms(out, pairs):
+    """Add the (key, coeff) pairs into the term dict ``out`` in place,
+    dropping every key whose coefficient cancels to zero; returns ``out``."""
+    get = out.get
+    for key, c in pairs:
+        s = get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def sparse_mul(a, b, combine):
+    """Product of the term dicts a and b, whose keys multiply by ``combine``."""
+    out = {}
+    items = b.items()
+    for k1, c1 in a.items():
+        add_terms(out, [(combine(k1, k2), c1 * c2) for k2, c2 in items])
+    return out
+
+
+def show_terms(pairs):
+    """Signed-term text for (monomial text, coeff) pairs in display order.
+
+    The monomial text is "" for a constant term; a coefficient of magnitude
+    one is left out in front of a monomial.
+    """
+    pieces = []
+    for mono, c in pairs:
+        mag = abs(c)
+        if not mono:
+            body = format_rational(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = format_rational(mag) + "*" + mono
+        if pieces:
+            pieces.append(("+ " if c > 0 else "- ") + body)
+        else:
+            pieces.append(body if c > 0 else "-" + body)
+    return " ".join(pieces) or "0"
+
+
+# ---------------------------------------------------------------------------
 # sparse univariate polynomials
 
 
@@ -175,6 +225,13 @@ class Poly:
                         raise ValueError("negative exponent in polynomial")
                     clean[int(exp)] = c
         self.coeffs = clean
+
+    def _new(self, coeffs):
+        """A polynomial in the same variable over an already clean term dict."""
+        result = Poly.__new__(Poly)
+        result.var = self.var
+        result.coeffs = coeffs
+        return result
 
     @classmethod
     def const(cls, c, var="w"):
@@ -198,50 +255,22 @@ class Poly:
         return all(c.denominator == 1 for c in self.coeffs.values())
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        result = Poly.__new__(Poly)
-        result.var = self.var
-        result.coeffs = out
-        return result
+        return self._new(add_terms(dict(self.coeffs), other.coeffs.items()))
 
     def __neg__(self):
-        result = Poly.__new__(Poly)
-        result.var = self.var
-        result.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return result
+        return self._new({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        result = Poly.__new__(Poly)
-        result.var = self.var
-        result.coeffs = out
-        return result
+        return self._new(sparse_mul(self.coeffs, other.coeffs, operator.add))
 
     def scale(self, c):
         c = Fraction(c)
         if c == 0:
             return Poly({}, var=self.var)
-        result = Poly.__new__(Poly)
-        result.var = self.var
-        result.coeffs = {e: k * c for e, k in self.coeffs.items()}
-        return result
+        return self._new({e: k * c for e, k in self.coeffs.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -265,10 +294,7 @@ class Poly:
         """The Frobenius substitution w -> w^r."""
         if r < 1:
             raise ValueError("substitution power must be >= 1")
-        result = Poly.__new__(Poly)
-        result.var = self.var
-        result.coeffs = {e * r: c for e, c in self.coeffs.items()}
-        return result
+        return self._new({e * r: c for e, c in self.coeffs.items()})
 
     def evaluate(self, value):
         value = Fraction(value)
@@ -296,22 +322,9 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                body = format_rational(abs(c))
-            else:
-                mag = abs(c)
-                head = "" if mag == 1 else format_rational(mag) + "*"
-                body = f"{head}{self.var}" if e == 1 else f"{head}{self.var}^{e}"
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+        def mono(e):
+            return "" if e == 0 else self.var if e == 1 else f"{self.var}^{e}"
+        return show_terms((mono(e), self.coeffs[e]) for e in sorted(self.coeffs, reverse=True))
 
 
 def poly_divmod(a, b):
@@ -497,12 +510,14 @@ def ser_exp(ring, f, order):
 class WittElement:
     """A truncated big Witt vector over Q: a series 1 + a_1 t + ... + a_N t^N.
 
-    Ghost coordinates g_1..g_N are defined by log f = sum g_i t^i / i; Witt
-    addition is series multiplication and Witt multiplication is componentwise
-    multiplication of ghosts.
+    The element is stored by its ghost coordinates g_1..g_N, defined by
+    log f = sum g_i t^i / i.  The ghost map is a ring isomorphism from W_N(Q)
+    onto Q^N, so Witt addition (series multiplication) and Witt
+    multiplication are both componentwise on ghosts; the coefficients a_k
+    are computed only when asked for.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ghosts",)
 
     def __init__(self, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -511,42 +526,47 @@ class WittElement:
                 "Witt element must have constant term 1",
                 {"constant_term": str(coeffs[0]) if coeffs else None},
             )
-        self.coeffs = coeffs
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def geometric(cls, a, order):
-        """(1 - a t)^{-1} truncated at the given order."""
-        a = Fraction(a)
-        return cls([a**k for k in range(order + 1)])
-
-    def ghost(self):
-        """Ghost coordinates (g_1, ..., g_N)."""
-        logs = ser_log(QQ, self.coeffs, self.order)
-        return [i * logs[i] for i in range(1, self.order + 1)]
+        logs = ser_log(QQ, coeffs, len(coeffs) - 1)
+        self.ghosts = [i * logs[i] for i in range(1, len(coeffs))]
 
     @classmethod
     def from_ghost(cls, ghosts):
-        f = [Fraction(0)] * (len(ghosts) + 1)
-        for i, g in enumerate(ghosts, start=1):
-            f[i] = Fraction(g) / i
-        return cls(ser_exp(QQ, f, len(ghosts)))
+        x = cls.__new__(cls)
+        x.ghosts = [Fraction(g) for g in ghosts]
+        return x
+
+    @property
+    def order(self):
+        return len(self.ghosts)
+
+    @property
+    def coeffs(self):
+        """Series coefficients [1, a_1, ..., a_N]: the exp of sum g_i t^i / i."""
+        logs = [Fraction(0)] + [g / i for i, g in enumerate(self.ghosts, start=1)]
+        return ser_exp(QQ, logs, self.order)
+
+    @classmethod
+    def geometric(cls, a, order):
+        """(1 - a t)^{-1} truncated at the given order; its ghosts are a^i."""
+        a = Fraction(a)
+        return cls.from_ghost([a**i for i in range(1, order + 1)])
+
+    def ghost(self):
+        """Ghost coordinates (g_1, ..., g_N)."""
+        return list(self.ghosts)
 
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a Witt element")
         if order == self.order:
             return self
-        return WittElement(self.coeffs[: order + 1])
+        return WittElement.from_ghost(self.ghosts[:order])
 
     def __eq__(self, other):
-        return isinstance(other, WittElement) and self.coeffs == other.coeffs
+        return isinstance(other, WittElement) and self.ghosts == other.ghosts
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        return hash(tuple(self.ghosts))
 
     def to_json(self):
         return {"order": self.order, "coeffs": [format_rational(c) for c in self.coeffs]}
@@ -862,10 +882,11 @@ class PairRing(RingDescriptor):
 class WittRing(RingDescriptor):
     """The big Witt ring of Q, truncated at a fixed order.
 
-    Addition is power-series multiplication; multiplication is componentwise
-    on ghost coordinates; ``adams(r, f)`` reindexes ghosts by r and therefore
-    lands in order floor(N / r).  Binary operations truncate both operands
-    to the smaller order, which is a ring map W_N -> W_M.
+    Every operation is componentwise on ghost coordinates: addition is the
+    power-series product, multiplication the Witt product, and
+    ``adams(r, f)`` keeps the ghosts g_r, g_2r, ..., so it lands in order
+    floor(N / r).  Binary operations truncate both operands to the smaller
+    order, which is a ring map W_N -> W_M.
     """
 
     name = "witt"
@@ -876,36 +897,30 @@ class WittRing(RingDescriptor):
         self.order = order
 
     def zero(self):
-        return WittElement([Fraction(1)] + [Fraction(0)] * self.order)
+        return WittElement.from_ghost([0] * self.order)
 
     def one(self):
-        return WittElement.geometric(1, self.order)
+        return WittElement.from_ghost([1] * self.order)
 
     def from_int(self, n):
-        return WittElement.from_ghost([Fraction(n)] * self.order)
+        return WittElement.from_ghost([n] * self.order)
 
     def add(self, x, y):
-        return WittElement(ser_mul(QQ, x.coeffs, y.coeffs, min(x.order, y.order)))
+        return WittElement.from_ghost([a + b for a, b in zip(x.ghosts, y.ghosts)])
 
     def neg(self, x):
-        return WittElement(ser_inv(QQ, x.coeffs, x.order))
+        return WittElement.from_ghost([-a for a in x.ghosts])
 
     def mul(self, x, y):
-        order = min(x.order, y.order)
-        gx, gy = x.truncate(order).ghost(), y.truncate(order).ghost()
-        return WittElement.from_ghost([a * b for a, b in zip(gx, gy)])
+        return WittElement.from_ghost([a * b for a, b in zip(x.ghosts, y.ghosts)])
 
     def adams(self, r, x):
         self._check_r(r)
-        if r == 1:
-            return x
-        g = x.ghost()
-        return WittElement.from_ghost([g[r * i - 1] for i in range(1, x.order // r + 1)])
+        return WittElement.from_ghost(x.ghosts[r - 1::r])
 
     def exact_div_by_int(self, x, d):
-        # n-th root of the series: exp(log(x) / d), always exact over Q
-        logs = ser_log(QQ, x.coeffs, x.order)
-        return WittElement(ser_exp(QQ, [c / d for c in logs], x.order))
+        # the d-th root of the series, always exact over Q
+        return WittElement.from_ghost([g / d for g in x.ghosts])
 
     def order_of(self, x):
         return x.order
@@ -922,6 +937,10 @@ class WittRing(RingDescriptor):
 
 # ---------------------------------------------------------------------------
 # multivariate polynomials over Q
+
+
+def _mono_mul(m1, m2):
+    return tuple(map(operator.add, m1, m2))
 
 
 class MPoly:
@@ -941,6 +960,13 @@ class MPoly:
                     clean[tuple(mono)] = c
         self.terms = clean
 
+    def _new(self, terms):
+        """A polynomial in as many variables over an already clean term dict."""
+        result = MPoly.__new__(MPoly)
+        result.nvars = self.nvars
+        result.terms = terms
+        return result
+
     @classmethod
     def const(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: Fraction(c)})
@@ -955,55 +981,24 @@ class MPoly:
         return not self.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        result = MPoly.__new__(MPoly)
-        result.nvars = self.nvars
-        result.terms = out
-        return result
+        return self._new(add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        result = MPoly.__new__(MPoly)
-        result.nvars = self.nvars
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return self._new({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        result = MPoly.__new__(MPoly)
-        result.nvars = self.nvars
-        result.terms = out
-        return result
+        return self._new(sparse_mul(self.terms, other.terms, _mono_mul))
 
     def scale(self, c):
         c = Fraction(c)
-        result = MPoly.__new__(MPoly)
-        result.nvars = self.nvars
-        result.terms = {} if c == 0 else {m: k * c for m, k in self.terms.items()}
-        return result
+        return self._new({} if c == 0 else {m: k * c for m, k in self.terms.items()})
 
     def power_substitute(self, r):
         """Raise every variable to the r-th power (monomial Adams)."""
-        result = MPoly.__new__(MPoly)
-        result.nvars = self.nvars
-        result.terms = {tuple(e * r for e in m): c for m, c in self.terms.items()}
-        return result
+        return self._new({tuple(e * r for e in m): c for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, MPoly) and self.terms == other.terms
@@ -1012,31 +1007,10 @@ class MPoly:
         return hash(frozenset(self.terms.items()))
 
     def to_string(self, names):
-        if not self.terms:
-            return "0"
-        def mono_key(m):
-            return (-sum(m), tuple(-e for e in m))
-        pieces = []
-        for mono in sorted(self.terms, key=mono_key):
-            c = self.terms[mono]
-            factors = []
-            for name, e in zip(names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = abs(c)
-            if not factors:
-                body = format_rational(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = format_rational(mag) + "*" + "*".join(factors)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+        def text(m):
+            return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, m) if e)
+        order = sorted(self.terms, key=lambda m: (-sum(m), tuple(-e for e in m)))
+        return show_terms((text(m), self.terms[m]) for m in order)
 
     def __repr__(self):
         return f"MPoly({self.nvars}, {self.terms!r})"

@@ -121,6 +121,14 @@ def test_arr_tilings(capsys):
     assert "with a" in out
 
 
+def test_arr_tilings_refuses_too_many_arrangements(capsys):
+    ones = ",".join(["1"] * 8)  # 8! = 40,320 permutation matrices
+    code, out, err = run(capsys, "arr", "tilings", "--tau", ones, "--lambda", ones)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: 40320 arrangements") and err.count("\n") == 1
+
+
 def test_types_enumerate(capsys):
     code, out, _ = run(capsys, "types", "enumerate", "--degree", "4")
     assert code == 0

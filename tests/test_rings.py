@@ -1,5 +1,6 @@
 """Ring descriptors, polynomial and series arithmetic, Witt vectors."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,12 @@ from polysplit.rings import (
     prime_omega,
     ring_from_token,
     RING_TOKENS,
+    QQ,
+    ser_inv,
+    ser_mul,
 )
+from polysplit.polysym import PolysymElement
+from polysplit.types import SplittingType, parse_type
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +348,37 @@ def test_witt_exact_division():
     assert ring.eq(back, x)
 
 
+# The Witt ring against its series definition: W_N(Q) is the group of series
+# 1 + a_1 t + ... + a_N t^N under multiplication, whatever coordinates the
+# elements are stored in.
+
+_WITT_X = WittElement([1, 2, Fraction(-1, 3), 0, 5, Fraction(1, 2), -4, 1, 0])
+_WITT_Y = WittElement([1, Fraction(-3, 2), 1, 7, Fraction(2, 5), -1])
+
+
+@pytest.mark.parametrize("x,y", [(_WITT_X, _WITT_Y), (_WITT_Y, _WITT_X),
+                                 (_WITT_X, _WITT_X)])
+def test_witt_addition_and_negation_follow_the_series(x, y):
+    ring = WittRing(8)
+    order = min(x.order, y.order)
+    assert ring.add(x, y).coeffs == ser_mul(QQ, x.coeffs, y.coeffs, order)
+    assert ring.neg(x).coeffs == ser_inv(QQ, x.coeffs, x.order)
+
+
+@pytest.mark.parametrize("n", [-3, -1, 0, 1, 2, 5])
+def test_witt_integers_are_powers_of_the_geometric_series(n):
+    # the coefficient of t^k in (1 - t)^(-n) is n (n + 1) ... (n + k - 1) / k!
+    expect = [Fraction(math.prod(range(n, n + k)), math.factorial(k)) for k in range(8)]
+    assert WittRing(7).from_int(n).coeffs == expect
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, -2])
+def test_witt_exact_division_undoes_scaling(d):
+    ring = WittRing(8)
+    for x in (_WITT_X, _WITT_Y):
+        assert ring.scalar_mul_int(d, ring.exact_div_by_int(x, d)) == x
+
+
 def test_witt_requires_constant_term_one():
     with pytest.raises(ValueError):
         WittElement([Fraction(2), Fraction(1)])
@@ -484,3 +521,79 @@ def test_poly_ring_adams_multiplicativity(a, b, r):
 def test_witt_from_ghost_round_trip(ghosts):
     x = WittElement.from_ghost(ghosts)
     assert x.ghost() == list(ghosts)
+
+
+# ---------------------------------------------------------------------------
+# the sparse-term kernel behind Poly and MPoly, against evaluation
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_POLY_TERMS = st.dictionaries(st.integers(0, 6), _RATIONALS, max_size=6)
+_MONOMIALS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+_MPOLY_TERMS = st.dictionaries(_MONOMIALS, _RATIONALS, max_size=6)
+
+
+def _mpoly_at(p, point):
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        for x, e in zip(point, mono):
+            c *= x**e
+        total += c
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(_POLY_TERMS, _POLY_TERMS, _RATIONALS)
+def test_poly_sums_and_products_agree_with_evaluation(a, b, x):
+    p, q = Poly(a), Poly(b)
+    for r, value in ((p + q, p.evaluate(x) + q.evaluate(x)),
+                     (p - q, p.evaluate(x) - q.evaluate(x)),
+                     (p * q, p.evaluate(x) * q.evaluate(x))):
+        assert r.evaluate(x) == value
+        assert all(r.coeffs.values())
+    assert (p - p).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_MPOLY_TERMS, _MPOLY_TERMS, st.tuples(_RATIONALS, _RATIONALS, _RATIONALS))
+def test_mpoly_sums_and_products_agree_with_evaluation(a, b, point):
+    p, q = MPoly(3, a), MPoly(3, b)
+    for r, value in ((p + q, _mpoly_at(p, point) + _mpoly_at(q, point)),
+                     (p - q, _mpoly_at(p, point) - _mpoly_at(q, point)),
+                     (p * q, _mpoly_at(p, point) * _mpoly_at(q, point))):
+        assert _mpoly_at(r, point) == value
+        assert all(r.terms.values())
+    assert (p - p).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# rendering: Poly, MPoly and polysym elements print their terms alike
+
+_XYZ = MPolyRing(3, names=["x", "y", "z"])
+
+
+@pytest.mark.parametrize("make,text", [
+    (lambda: str(Poly({3: -1, 2: Fraction(1, 2), 1: 1, 0: -7})), "-w^3 + 1/2*w^2 + w - 7"),
+    (lambda: str(Poly({0: 5})), "5"),
+    (lambda: str(Poly({})), "0"),
+    (lambda: str(Poly({1: -1, 0: Fraction(-2, 3)})), "-w - 2/3"),
+    (lambda: str(Poly({4: Fraction(-3, 4), 1: -1}, var="q")), "-3/4*q^4 - q"),
+    (lambda: _XYZ.show(MPoly(3, {(2, 0, 1): -1, (1, 1, 0): Fraction(2, 3),
+                                 (0, 1, 0): 1, (0, 0, 0): -4})),
+     "-x^2*z + 2/3*x*y + y - 4"),
+    (lambda: _XYZ.show(MPoly(3, {(0, 0, 0): Fraction(1, 2)})), "1/2"),
+    (lambda: _XYZ.show(MPoly(3)), "0"),
+    (lambda: _XYZ.show(MPoly(3, {(0, 0, 3): 1, (1, 0, 0): -1})), "z^3 - x"),
+    (lambda: MPolyRing(2).show(MPoly(2, {(1, 1): -2, (0, 2): 1})), "-2*x_1*x_2 + x_2^2"),
+    (lambda: PolysymElement("M", {parse_type("1^2,2"): -1, parse_type("2,2"): Fraction(3, 2),
+                                  parse_type("1"): 1}).show(),
+     "M(1) - M(2 1^2) + 3/2*M(2 2)"),
+    (lambda: PolysymElement("H", {SplittingType([]): 3, parse_type("1,1"): -1}).show(),
+     "3*H() - H(1 1)"),
+    (lambda: PolysymElement("E").show(), "0"),
+    (lambda: PolysymElement("Eplus", {parse_type("3"): Fraction(-5, 7),
+                                      parse_type("1^3"): 1}).show(),
+     "Eplus(1^3) - 5/7*Eplus(3)"),
+    (lambda: PolysymElement("P", {SplittingType([]): -1}).show(), "-P()"),
+])
+def test_rendered_terms_are_pinned(make, text):
+    assert make() == text
