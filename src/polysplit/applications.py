@@ -79,14 +79,8 @@ def _forms_count(n, k):
 
 
 def _projective_space(ring, dim_plus_one):
-    """1 + w + ... + w^(N-1) where N = dim_plus_one."""
-    w = ring.variable()
-    total = ring.zero()
-    power = ring.one()
-    for _ in range(dim_plus_one):
-        total = ring.add(total, power)
-        power = ring.mul(power, w)
-    return total
+    """1 + w + ... + w^(N-1) in the polynomial ring, where N = dim_plus_one."""
+    return ring.sum(Poly({i: 1}, var=ring.var) for i in range(dim_plus_one))
 
 
 def irr_hypersurface(n, d, measure="motive", q=None):

@@ -183,6 +183,57 @@ def sparse_mul(a, b, combine):
     return out
 
 
+def _integer_terms(terms):
+    """A nonempty term dict over Q with int keys as (lcm of the denominators,
+    lowest key, dense list of the numerators over that lcm from the lowest
+    key to the highest, zero in every gap)."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    low = min(terms)
+    dense = [0] * (max(terms) - low + 1)
+    for e, c in terms.items():
+        dense[e - low] = c.numerator * (den // c.denominator)
+    return den, low, dense
+
+
+def _half_slots(count, width):
+    """The int with half the slot base, 2**(8 * width - 1), in each of
+    ``count`` slots of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def packed_mul(a, b):
+    """Product of two nonempty term dicts over Q with int keys, by Kronecker
+    substitution: each operand, its denominators cleared, is packed into one
+    int with a slot of ``width`` bytes per exponent, the two ints are
+    multiplied once, and the signed slots of the product are read back.
+
+    A slot holds any |c| < 2**(8 * width - 1); no product coefficient exceeds
+    max|a| * max|b| * min(len(a), len(b)).  Adding half the slot base to
+    every slot makes each one nonnegative, so neither packing nor unpacking
+    carries between slots.
+    """
+    den_a, low_a, dense_a = _integer_terms(a)
+    den_b, low_b, dense_b = _integer_terms(b)
+    bound = max(map(abs, dense_a)) * max(map(abs, dense_b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+
+    def pack(dense):
+        raw = b"".join([(c + half).to_bytes(width, "little") for c in dense])
+        return int.from_bytes(raw, "little") - _half_slots(len(dense), width)
+
+    count = len(dense_a) + len(dense_b) - 1
+    product = pack(dense_a) * pack(dense_b) + _half_slots(count, width)
+    raw = product.to_bytes(count * width, "little")
+    den, low = den_a * den_b, low_a + low_b
+    out = {}
+    for i in range(count):
+        c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+        if c:
+            out[low + i] = Fraction(c, den)
+    return out
+
+
 def show_terms(pairs):
     """Signed-term text for (monomial text, coeff) pairs in display order.
 
@@ -264,7 +315,14 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        return self._new(sparse_mul(self.coeffs, other.coeffs, operator.add))
+        a, b = self.coeffs, other.coeffs
+        # the schoolbook product costs one Fraction product per pair of
+        # terms, the packed one a few int operations per exponent slot of
+        # the result: pack only when the pairs outnumber the slots (never
+        # for a one-term operand, nor for few terms over a wide span)
+        if a and b and len(a) * len(b) > max(a) - min(a) + max(b) - min(b) + 1:
+            return self._new(packed_mul(a, b))
+        return self._new(sparse_mul(a, b, operator.add))
 
     def scale(self, c):
         c = Fraction(c)
@@ -768,6 +826,18 @@ class PolyRing(RingDescriptor):
     def from_int(self, n):
         return Poly.const(n, var=self.var)
 
+    def sum(self, elements):
+        # one term dict takes every term, so k summands cost their total
+        # term count, not k copies of a growing total
+        elements = iter(elements)
+        first = next(elements, None)
+        if first is None:
+            return self.zero()
+        terms = dict(first.coeffs)
+        for e in elements:
+            add_terms(terms, e.coeffs.items())
+        return first._new(terms)
+
     def adams(self, r, x):
         self._check_r(r)
         return x.substitute_power(r) if self.frobenius else x
@@ -885,8 +955,8 @@ class WittRing(RingDescriptor):
     Every operation is componentwise on ghost coordinates: addition is the
     power-series product, multiplication the Witt product, and
     ``adams(r, f)`` keeps the ghosts g_r, g_2r, ..., so it lands in order
-    floor(N / r).  Binary operations truncate both operands to the smaller
-    order, which is a ring map W_N -> W_M.
+    floor(N / r).  Binary operations and ``eq`` truncate both operands to the
+    smaller order, which is a ring map W_N -> W_M.
     """
 
     name = "witt"
@@ -913,6 +983,10 @@ class WittRing(RingDescriptor):
 
     def mul(self, x, y):
         return WittElement.from_ghost([a * b for a, b in zip(x.ghosts, y.ghosts)])
+
+    def eq(self, x, y):
+        order = min(x.order, y.order)
+        return x.ghosts[:order] == y.ghosts[:order]
 
     def adams(self, r, x):
         self._check_r(r)

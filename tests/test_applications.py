@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from polysplit import rings
 from polysplit.applications import (
     _cyclotomic,
     _product_one_minus,
@@ -41,6 +42,7 @@ from polysplit.rings import (
     WittRing,
     divisors,
     moebius,
+    packed_mul,
 )
 from polysplit.types import parse_type
 
@@ -106,18 +108,35 @@ def test_line_motive_is_the_line_itself():
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("n", [1, 2])
 def test_witt_ghost_route_matches_motive_counts(n, q):
+    _check_ghost_route(n, q, top=4, order=8)
+
+
+def test_witt_ghost_route_covers_packed_products(monkeypatch):
+    # at n = 6 the motive's inversion multiplies polynomials of hundreds of
+    # terms, which Poly.__mul__ packs into one int each
+    widest = []
+
+    def spy(a, b):
+        widest.append(max(len(a), len(b)))
+        return packed_mul(a, b)
+
+    monkeypatch.setattr(rings, "packed_mul", spy)
+    _check_ghost_route(6, 2, top=5, order=10)
+    assert max(widest) >= 200
+
+
+def _check_ghost_route(n, q, top, order):
     # encode each closed stratum by its tower of point counts as ghost
     # coordinates; the inversion in the Witt ring must reproduce the
     # motive's counts over every extension that survives truncation
-    order = 8
     ring = WittRing(order)
     xs = []
-    for k in range(1, 5):
+    for k in range(1, top + 1):
         forms = math.comb(n + k, k)
         ghosts = [sum(q ** (i * j) for i in range(forms)) for j in range(1, order + 1)]
         xs.append(WittElement.from_ghost(ghosts))
     us = invert_zeta(ring, xs)
-    for d in range(1, 5):
+    for d in range(1, top + 1):
         motive = irr_hypersurface(n, d, "motive")
         ghosts = us[d - 1].ghost()
         for j in range(1, len(ghosts) + 1):

@@ -1,10 +1,12 @@
 """Ring descriptors, polynomial and series arithmetic, Witt vectors."""
 
 import math
+import operator
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polysplit.rings import (
@@ -28,12 +30,14 @@ from polysplit.rings import (
     partition_count_bounded,
     partitions,
     poly_divmod,
+    packed_mul,
     prime_omega,
     ring_from_token,
     RING_TOKENS,
     QQ,
     ser_inv,
     ser_mul,
+    sparse_mul,
 )
 from polysplit.polysym import PolysymElement
 from polysplit.types import SplittingType, parse_type
@@ -318,6 +322,17 @@ def test_witt_operations_truncate_to_the_smaller_order():
         assert ring.eq(op(y, x), op(y, short))
 
 
+def test_witt_equality_compares_at_the_smaller_order():
+    ring = WittRing(8)
+    z = ring.adams(2, ring.zero())
+    assert z.order == 4
+    assert ring.is_zero(z)
+    assert ring.eq(ring.add(z, ring.one()), ring.one())
+    assert ring.eq(ring.one(), ring.add(z, ring.one()))
+    assert not ring.eq(ring.add(z, ring.one()), ring.from_int(2))
+    assert not ring.is_zero(ring.adams(2, ring.one()))
+
+
 def test_witt_ghost_round_trip():
     ghosts = [Fraction(k * k - 3, 2) for k in range(1, 13)]
     x = WittElement.from_ghost(ghosts)
@@ -563,6 +578,65 @@ def test_mpoly_sums_and_products_agree_with_evaluation(a, b, point):
         assert _mpoly_at(r, point) == value
         assert all(r.terms.values())
     assert (p - p).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the packed (Kronecker) Poly product against the schoolbook product
+
+_WIDE = st.integers(-2**80, 2**80)
+_MUL_COEFFS = st.one_of(
+    st.integers(-2, 2),
+    _WIDE,
+    st.builds(Fraction, _WIDE, st.integers(1, 60)),
+)
+# dense runs (zero coefficients leave gaps) and a few terms spread wide
+_MUL_TERMS = st.one_of(
+    st.builds(lambda low, cs: dict(zip(range(low, low + len(cs)), cs)),
+              st.integers(0, 5), st.lists(_MUL_COEFFS, max_size=40)),
+    st.dictionaries(st.integers(0, 300), _MUL_COEFFS, max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MUL_TERMS, _MUL_TERMS)
+@example({0: 1, 1: 1}, {0: 1, 1: -1})                 # the w term cancels
+@example({0: 1, 1: 1, 2: 1}, {0: -1, 1: 1})           # all but two cancel
+@example({0: -1, 1: -2, 2: -1}, {0: 1, 1: 1})         # negative packed product
+@example({0: -2**70, 3: 1}, {0: 2**70, 1: -2**70})    # slots wider than 8 bytes
+@example({7: Fraction(-1, 3)}, {0: Fraction(1, 2), 1: Fraction(2, 5), 4: 3})
+def test_poly_product_matches_the_schoolbook_product(a, b):
+    p, q = Poly(a), Poly(b)
+    expected = sparse_mul(p.coeffs, q.coeffs, operator.add)
+    product = (p * q).coeffs
+    assert product == expected
+    assert all(product.values())
+    if p.coeffs and q.coeffs:
+        packed = packed_mul(p.coeffs, q.coeffs)
+        assert packed == expected
+        assert all(packed.values())
+        assert all(type(c) is Fraction for c in packed.values())
+
+
+def test_wide_sparse_product_takes_the_schoolbook_path():
+    # packing the square would need 4 * 10**6 + 1 slots; the schoolbook
+    # product is nine term pairs
+    p = Poly({0: 1, 10**6: 1, 2 * 10**6: 1})
+    start = time.perf_counter()
+    square = p * p
+    assert time.perf_counter() - start < 0.25
+    assert square.coeffs == sparse_mul(p.coeffs, p.coeffs, operator.add)
+
+
+def test_poly_ring_sum_matches_repeated_addition():
+    ring = PolyRing(var="q")
+    parts = [Poly({0: 1, 2: Fraction(1, 2)}, var="q"), Poly({2: Fraction(-1, 2)}, var="q"),
+             Poly({}, var="q"), Poly({5: 3, 0: -1}, var="q")]
+    total = ring.sum(parts)
+    assert total == parts[0] + parts[1] + parts[2] + parts[3]
+    assert total.coeffs == {5: 3} and total.var == "q"
+    assert ring.sum(parts[:1]).coeffs == parts[0].coeffs
+    assert ring.sum([]) == ring.zero()
+    assert parts[0].coeffs == {0: 1, 2: Fraction(1, 2)}
 
 
 # ---------------------------------------------------------------------------
