@@ -25,11 +25,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .rings import MathCheckError, MPoly, format_rational, moebius, parse_rational
-from .types import (
-    SplittingType,
-    canonical_sort_key,
-    enumerate_types,
-)
+from .types import SplittingType, enumerate_types
 
 TABLE_TAGS = ("a", "e", "a_inv", "e_inv", "mobius")
 
@@ -47,7 +43,7 @@ ARTIFACT_VERSION = 1
 
 
 def _group_slices(parts):
-    """Index ranges of maximal runs of identical parts.
+    """Index ranges of maximal runs of two or more identical parts.
 
     Rows belonging to the same run are interchangeable, so depth-first
     states that differ only by permuting their residuals coincide.
@@ -56,16 +52,17 @@ def _group_slices(parts):
     start = 0
     for i in range(1, len(parts) + 1):
         if i == len(parts) or parts[i] != parts[start]:
-            slices.append((start, i))
+            if i - start > 1:
+                slices.append((start, i))
             start = i
     return slices
 
 
 def _canonicalize(residual, slices):
-    out = []
+    """The residual list with each run sorted in decreasing order, as a tuple."""
     for start, stop in slices:
-        out.extend(sorted(residual[start:stop], reverse=True))
-    return tuple(out)
+        residual[start:stop] = sorted(residual[start:stop], reverse=True)
+    return tuple(residual)
 
 
 def _column_fills(degs, c, n, residual, squarefree):
@@ -93,36 +90,53 @@ def _column_fills(degs, c, n, residual, squarefree):
     return fills
 
 
-@lru_cache(maxsize=None)
-def _walk(tau, lam, squarefree, first=False):
-    """Number of arrangements from tau to lam, filled column by column and
-    memoized on the canonical residual; with ``first``, stop at the first
-    arrangement found, so the result is 0 or 1."""
-    cols = lam.parts
+def _row_walker(tau, squarefree, first=False):
+    """Arrangement counts from tau, as a function of lam, filled column by
+    column.  One memo, keyed on (the columns of lam left to fill, the
+    canonical residual), serves every lam asked, so the lams of a table row
+    that share a column suffix share that work; next to it sit the fills of
+    a column (c, n) from a residual, grouped by the canonical residual they
+    leave.  With ``first``, stop at the first arrangement found, so each
+    result is 0 or 1."""
     degs = [b for b, _ in tau.parts]
     slices = _group_slices(tau.parts)
     memo = {}
+    steps = {}
 
-    def walk(j, residual):
-        if j == len(cols):
+    def walk(cols, residual):
+        if not cols:
             # Row sums are forced: the weighted residual equals the total
             # weight of the remaining columns, which is now zero.
             return 1
-        key = (j, residual)
+        key = (cols, residual)
         total = memo.get(key)
         if total is not None:
             return total
-        c, n = cols[j]
+        c, n = cols[0]
+        step = steps.get((c, n, residual))
+        if step is None:
+            grouped = {}
+            for fill in _column_fills(degs, c, n, residual, squarefree):
+                rest = _canonicalize([r - f * n for r, f in zip(residual, fill)], slices)
+                grouped[rest] = grouped.get(rest, 0) + 1
+            step = steps[(c, n, residual)] = list(grouped.items())
         total = 0
-        for fill in _column_fills(degs, c, n, residual, squarefree):
-            rest = tuple(r - f * n for r, f in zip(residual, fill))
-            total += walk(j + 1, _canonicalize(rest, slices))
+        for rest, ways in step:
+            total += ways * walk(cols[1:], rest)
             if first and total:
+                total = 1
                 break
         memo[key] = total
         return total
 
-    return walk(0, tuple(m for _, m in tau.parts))
+    top = tuple(m for _, m in tau.parts)
+    return lambda lam: walk(lam.parts, top)
+
+
+@lru_cache(maxsize=None)
+def _walk(tau, lam, squarefree, first=False):
+    """The walker's result for one pair; the cache holds results only."""
+    return _row_walker(tau, squarefree, first)(lam)
 
 
 def _check_degrees(tau, lam):
@@ -296,56 +310,61 @@ class IncidenceTable:
         return cls(degree, tag, types, entries)
 
 
-def _zeta_entry(tau, lam):
-    return Fraction(1) if leq(tau, lam) else Fraction(0)
+def _walk_rows(types, squarefree, first=False):
+    """The int table of arrangement counts (with ``first``, of the order)
+    on types in canonical order, a linear extension of the order, so it is
+    upper-triangular.  Each row has its own walker, dropped after the row."""
+    rows = []
+    for i, tau in enumerate(types):
+        walk = _row_walker(tau, squarefree, first)
+        rows.append([0] * i + [walk(lam) for lam in types[i:]])
+    return rows
 
 
-def _invert_triangular(types, value):
-    """Invert an order-triangular table by back substitution.
+def _invert_triangular(rows, scale, detail):
+    """Scale times the inverse of an upper-triangular int table, by back
+    substitution over the integers: for i < j,
 
-    ``value(tau, lam)`` is the original table; the inverse satisfies, for
-    tau < lam,
+        inv[i][j] = -(1 / rows[j][j]) * sum over i <= k < j of inv[i][k] * rows[k][j].
 
-        inv(tau, lam) = -(1 / value(lam, lam)) * sum over tau <= kappa < lam
-                        of inv(tau, kappa) * value(kappa, lam).
-    """
-    size = len(types)
-    zero = Fraction(0)
-    table = [[value(types[i], types[j]) if i <= j else zero
-              for j in range(size)] for i in range(size)]
-    inv = [[zero] * size for _ in range(size)]
+    A remainder in a division means an entry outside Z[1/scale] and raises
+    MathCheckError with ``detail``."""
+    size = len(rows)
+    nonzero = [[(j, x) for j, x in enumerate(row[k + 1:], k + 1) if x]
+               for k, row in enumerate(rows)]
+    inv = []
     for i in range(size):
-        inv[i][i] = 1 / table[i][i]
-        for j in range(i + 1, size):
-            acc = Fraction(0)
-            for k in range(i, j):
-                if inv[i][k] and table[k][j]:
-                    acc += inv[i][k] * table[k][j]
-            if acc:
-                inv[i][j] = -acc / table[j][j]
+        out = [0] * size
+        acc = [0] * size
+        acc[i] = -scale  # so the diagonal comes out as scale / rows[i][i]
+        for k in range(i, size):
+            if not acc[k]:
+                continue
+            x, remainder = divmod(-acc[k], rows[k][k])
+            if remainder:
+                raise MathCheckError(
+                    "inverse table entry outside Z[1/d!]",
+                    dict(detail, entry=format_rational(Fraction(-acc[k], rows[k][k] * scale))))
+            out[k] = x
+            for j, y in nonzero[k]:
+                acc[j] += x * y
+        inv.append(out)
     return inv
 
 
+def _fractions(rows, scale=1):
+    """The int table divided by scale, as the Fraction entries of a table."""
+    zero = Fraction(0)
+    return [[Fraction(x, scale) if x else zero for x in row] for row in rows]
+
+
 def _compute_table(d, tag):
-    types = list(enumerate_types(d))
-    squarefree = tag in ("e", "e_inv")
-
-    def value(t, l):
-        return Fraction(count_arrangements(t, l, squarefree=squarefree))
-
-    if tag in ("a", "e"):
-        entries = [[value(t, l) for l in types] for t in types]
-    else:
-        entries = _invert_triangular(types, _zeta_entry if tag == "mobius" else value)
-    if tag in ("a_inv", "e_inv"):
-        bound = math.factorial(d)
-        for row in entries:
-            for x in row:
-                if (x * bound).denominator != 1:
-                    raise MathCheckError(
-                        "inverse table entry outside Z[1/d!]",
-                        {"degree": d, "tag": tag, "entry": format_rational(x)})
-    return IncidenceTable(d, tag, types, entries)
+    types = enumerate_types(d)
+    rows = _walk_rows(types, tag in ("e", "e_inv"), first=tag == "mobius")
+    scale = math.factorial(d) if tag in ("a_inv", "e_inv") else 1
+    if tag not in ("a", "e"):
+        rows = _invert_triangular(rows, scale, {"degree": d, "tag": tag})
+    return IncidenceTable(d, tag, types, _fractions(rows, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -489,26 +508,20 @@ def top_column_inverse(d):
         a_inv(tau, (d)) = -(1 / a(tau, tau)) * sum over tau < kappa <= (d)
                           of a(tau, kappa) * a_inv(kappa, (d)),
 
-    which needs plain arrangement counts only, not the full inverse table.
+    which needs plain arrangement counts only, one walker per row tau.
     """
-    types = list(enumerate_types(d))
-    column = {}
-    for tau in reversed(types):
+    types = enumerate_types(d)
+    column = [Fraction(0)] * len(types)
+    for i in reversed(range(len(types))):
+        tau = types[i]
         if tau.parts == ((d, 1),):
-            column[tau] = Fraction(1)
+            column[i] = Fraction(1)
             continue
-        acc = Fraction(0)
-        for kappa in types:
-            if canonical_sort_key(kappa) <= canonical_sort_key(tau):
-                continue
-            known = column.get(kappa)
-            if known is None or not known:
-                continue
-            count = count_arrangements(tau, kappa)
-            if count:
-                acc += count * known
-        column[tau] = -acc / count_arrangements(tau, tau)
-    return column
+        walk = _row_walker(tau, False)
+        acc = sum((walk(types[k]) * column[k] for k in range(i + 1, len(types)) if column[k]),
+                  Fraction(0))
+        column[i] = -acc / walk(tau)
+    return dict(zip(types, column))
 
 
 # ---------------------------------------------------------------------------

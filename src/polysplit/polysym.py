@@ -21,16 +21,19 @@ k * M of the single part (k, b/k).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .arrangements import (
     MAX_TABLE_DEGREE,
     IncidenceTable,
+    _fractions,
     _invert_triangular,
     incidence_table,
 )
 from .rings import (
+    MathCheckError,
     RingDescriptor,
     add_terms,
     divisors,
@@ -203,9 +206,13 @@ def _basis_table(basis, d, inverse):
     order both are upper-triangular with a nonzero diagonal."""
     types = list(enumerate_types(d))
     if inverse:
-        table = _basis_table(basis, d, False)
-        return IncidenceTable(d, basis + "_inv", types,
-                              _invert_triangular(types, table.value))
+        entries = _basis_table(basis, d, False).entries
+        rows = [[int(x) for x in row] for row in entries]
+        if rows != entries:
+            raise MathCheckError("basis table entry outside Z", {"degree": d, "tag": basis})
+        scale = math.factorial(d)
+        return IncidenceTable(d, basis + "_inv", types, _fractions(
+            _invert_triangular(rows, scale, {"degree": d, "tag": basis + "_inv"}), scale))
     single = _e_single_in_h if basis == "E" else _p_single_in_h
     columns = [_multiplicative_in_h(lam, single) for lam in types]
     zero = Fraction(0)

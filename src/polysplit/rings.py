@@ -166,9 +166,11 @@ def add_terms(out, pairs):
     dropping every key whose coefficient cancels to zero; returns ``out``."""
     get = out.get
     for key, c in pairs:
-        s = get(key, 0) + c
-        if s:
-            out[key] = s
+        s = get(key)
+        if s is not None:
+            c = s + c
+        if c:
+            out[key] = c
         else:
             out.pop(key, None)
     return out
@@ -841,6 +843,9 @@ class PolyRing(RingDescriptor):
     def adams(self, r, x):
         self._check_r(r)
         return x.substitute_power(r) if self.frobenius else x
+
+    def scalar_mul_int(self, n, x):
+        return x if n == 1 else x.scale(n)
 
     def exact_div_by_int(self, x, d):
         y = x.scale(Fraction(1, d))

@@ -1,5 +1,6 @@
 """Arrangement counts, incidence tables, and their reference data."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -88,6 +89,23 @@ def test_counts_match_oracle_random_pairs():
             pairs.append((rng.choice(types), rng.choice(types)))
     for tau, lam in pairs:
         assert arr.count_arrangements(tau, lam) == oracle_count(tau, lam)
+
+
+@pytest.mark.parametrize("tag", ["a", "e"])
+def test_table_rows_match_oracle(tag):
+    # The table builder walks each row with one memo shared by every lam
+    # of the row; single-pair counts above never share it.
+    squarefree = tag == "e"
+    table = arr.incidence_table(6, tag, use_cache=False)
+    for tau in table.types:
+        for lam in table.types:
+            assert table.value(tau, lam) == oracle_count(tau, lam, squarefree), \
+                (tau.label(), lam.label())
+    table = arr.incidence_table(7, tag, use_cache=False)
+    for tau in random.Random(17).sample(table.types, 5):
+        for lam in table.types:
+            assert table.value(tau, lam) == oracle_count(tau, lam, squarefree), \
+                (tau.label(), lam.label())
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +323,33 @@ def test_inverse_entries_lie_in_z_over_d_factorial():
         for row in inv.entries:
             for x in row:
                 assert (x * scale).denominator == 1
+
+
+def test_integer_inverter_rejects_an_entry_outside_z_over_scale():
+    # the inverse of diag(1, 7) has the entry 1/7, which 3! does not clear
+    with pytest.raises(MathCheckError, match="outside"):
+        arr._invert_triangular([[1, 2], [0, 7]], 6, {})
+    assert arr._invert_triangular([[1, 2], [0, 3]], 6, {}) == [[6, -4], [0, 2]]
+    inv = arr.incidence_table(6, "a_inv", use_cache=False)
+    assert all(type(x) is Fraction for row in inv.entries for x in row)
+
+
+# SHA-256 of json.dumps(incidence_table(8, tag).to_json(), sort_keys=True),
+# recorded from the pair-by-pair builder that the row walker replaced.
+PINNED_TABLE_HASHES = {
+    "a": "a85ab77425f6e74b13194f5b1dedb8e53410c4830ec8871d4ef5211418794199",
+    "e": "7b4faae11699fb62122dbedeeb81d55007a4a3fcc46f3446439783ac09d4d9e7",
+    "a_inv": "2fe6d60bc603c8f911342c3a721e7befc16b288a5c893abef195cfdc9d0ffd68",
+    "e_inv": "18df84b1c8851784d2551c740006800102d8733e67b4bb60a39d13e812b78bc0",
+    "mobius": "2feb648b81318cf0e246529f853af97801f09bcf5a4a2265b47136549db30b16",
+}
+
+
+@pytest.mark.parametrize("tag", arr.TABLE_TAGS)
+def test_degree_8_tables_are_pinned(tag):
+    table = arr.incidence_table(8, tag, use_cache=False)
+    text = json.dumps(table.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TABLE_HASHES[tag]
 
 
 # ---------------------------------------------------------------------------

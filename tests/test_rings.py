@@ -22,6 +22,7 @@ from polysplit.rings import (
     TruncatedSeries,
     WittElement,
     WittRing,
+    add_terms,
     binomial,
     divisors,
     moebius,
@@ -615,6 +616,25 @@ def test_poly_product_matches_the_schoolbook_product(a, b):
         assert packed == expected
         assert all(packed.values())
         assert all(type(c) is Fraction for c in packed.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-5, 5), _POLY_TERMS, st.dictionaries(st.integers(0, 6), st.integers(-9, 9),
+                                                        max_size=6))
+def test_poly_scalar_mul_int_matches_the_product(n, rational, integral):
+    for ring, terms in ((PolyRing(), rational), (PolyRing(integral=True), integral)):
+        x = Poly(terms)
+        scaled = ring.scalar_mul_int(n, x)
+        assert scaled == ring.mul(ring.from_int(n), x)
+        assert all(scaled.coeffs.values())
+        if ring.integral:
+            assert scaled.is_integral()
+
+
+def test_add_terms_stores_a_new_coefficient_as_given():
+    c = Fraction(2, 3)
+    out = add_terms({}, [("x", c), ("y", 0), ("z", 1), ("z", -1)])
+    assert out == {"x": c} and out["x"] is c
 
 
 def test_wide_sparse_product_takes_the_schoolbook_path():
