@@ -80,7 +80,7 @@ def _forms_count(n, k):
 
 def _projective_space(ring, dim_plus_one):
     """1 + w + ... + w^(N-1) in the polynomial ring, where N = dim_plus_one."""
-    return ring.sum(Poly({i: 1}, var=ring.var) for i in range(dim_plus_one))
+    return Poly(dict.fromkeys(range(dim_plus_one), 1), var=ring.var)
 
 
 def irr_hypersurface(n, d, measure="motive", q=None):

@@ -185,6 +185,15 @@ def sparse_mul(a, b, combine):
     return out
 
 
+def _ints(terms, keys=None):
+    """Turn the integral Fractions of terms (at keys, or all) into ints in place."""
+    for e in terms if keys is None else keys:
+        c = terms.get(e)
+        if type(c) is Fraction and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
 def _integer_terms(terms):
     """A nonempty term dict over Q with int keys as (lcm of the denominators,
     lowest key, dense list of the numerators over that lcm from the lowest
@@ -232,8 +241,8 @@ def packed_mul(a, b):
     for i in range(count):
         c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
         if c:
-            out[low + i] = Fraction(c, den)
-    return out
+            out[low + i] = c if den == 1 else Fraction(c, den)
+    return out if den == 1 else _ints(out)
 
 
 def show_terms(pairs):
@@ -263,7 +272,8 @@ def show_terms(pairs):
 
 
 class Poly:
-    """Sparse univariate polynomial with Fraction coefficients."""
+    """Sparse univariate polynomial over Q: an integral coefficient is an
+    int, any other a Fraction, so a polynomial over Z computes on ints."""
 
     __slots__ = ("var", "coeffs")
 
@@ -272,12 +282,13 @@ class Poly:
         clean = {}
         if coeffs:
             for exp, c in coeffs.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = Fraction(c)
                 if c != 0:
                     if exp < 0:
                         raise ValueError("negative exponent in polynomial")
                     clean[int(exp)] = c
-        self.coeffs = clean
+        self.coeffs = _ints(clean)
 
     def _new(self, coeffs):
         """A polynomial in the same variable over an already clean term dict."""
@@ -288,11 +299,11 @@ class Poly:
 
     @classmethod
     def const(cls, c, var="w"):
-        return cls({0: Fraction(c)}, var=var)
+        return cls({0: c}, var=var)
 
     @classmethod
     def variable(cls, var="w"):
-        return cls({1: Fraction(1)}, var=var)
+        return cls({1: 1}, var=var)
 
     def is_zero(self):
         return not self.coeffs
@@ -302,13 +313,14 @@ class Poly:
         return max(self.coeffs) if self.coeffs else -1
 
     def leading_coeff(self):
-        return self.coeffs[self.degree()] if self.coeffs else Fraction(0)
+        return self.coeffs[self.degree()] if self.coeffs else 0
 
     def is_integral(self):
         return all(c.denominator == 1 for c in self.coeffs.values())
 
     def __add__(self, other):
-        return self._new(add_terms(dict(self.coeffs), other.coeffs.items()))
+        terms = add_terms(dict(self.coeffs), other.coeffs.items())
+        return self._new(_ints(terms, other.coeffs))
 
     def __neg__(self):
         return self._new({e: -c for e, c in self.coeffs.items()})
@@ -324,13 +336,14 @@ class Poly:
         # for a one-term operand, nor for few terms over a wide span)
         if a and b and len(a) * len(b) > max(a) - min(a) + max(b) - min(b) + 1:
             return self._new(packed_mul(a, b))
-        return self._new(sparse_mul(a, b, operator.add))
+        return self._new(_ints(sparse_mul(a, b, operator.add)))
 
     def scale(self, c):
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
         if c == 0:
             return Poly({}, var=self.var)
-        return self._new({e: k * c for e, k in self.coeffs.items()})
+        return self._new(_ints({e: k * c for e, k in self.coeffs.items()}))
 
     def __pow__(self, n):
         if n < 0:
@@ -396,7 +409,7 @@ def poly_divmod(a, b):
     db, lb = b.degree(), b.leading_coeff()
     while not r.is_zero() and r.degree() >= db:
         shift = r.degree() - db
-        coeff = r.leading_coeff() / lb
+        coeff = Fraction(r.leading_coeff(), lb)
         term = Poly({shift: coeff}, var=a.var)
         q = q + term
         r = r - term * b
@@ -838,7 +851,7 @@ class PolyRing(RingDescriptor):
         terms = dict(first.coeffs)
         for e in elements:
             add_terms(terms, e.coeffs.items())
-        return first._new(terms)
+        return first._new(_ints(terms))
 
     def adams(self, r, x):
         self._check_r(r)
@@ -848,10 +861,11 @@ class PolyRing(RingDescriptor):
         return x if n == 1 else x.scale(n)
 
     def exact_div_by_int(self, x, d):
-        y = x.scale(Fraction(1, d))
-        if self.integral and not y.is_integral():
+        if not self.integral:
+            return x.scale(Fraction(1, d))
+        if any(c % d for c in x.coeffs.values()):  # not divisible in Z[w]
             return None
-        return y
+        return x._new({e: c // d for e, c in x.coeffs.items()})
 
     def to_json(self, x):
         return x.to_json()

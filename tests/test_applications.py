@@ -7,7 +7,9 @@ over symmetric groups for transitive tuples, and classical coefficient
 tables for the product factorizations.
 """
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -181,6 +183,30 @@ def test_real_euler_sequences():
             if u:
                 assert d & (d - 1) == 0
     assert irr_hypersurface(2, 4, "realeuler") == 1
+
+
+# SHA-256 of json.dumps(irr_hypersurface(n, d, measure).to_json(), sort_keys=True),
+# recorded when every Poly coefficient was still a Fraction
+PINNED_HYPERSURFACE_HASHES = {
+    (6, 8, "motive"): "e67135a00503750b9a0c935c952ce6d7b2606c77ff815bb440843128209f6f8c",
+    (6, 8, "epoly"): "45d457e4187a43cb39044af831f15c229eeb5d7b7ea64f3f4656556f48e73bd9",
+    (6, 8, "count"): "2873a370174a1df170a2db1c87a007fa36c2f5a4fc999cc21d54d04095a1b8d9",
+    (4, 6, "motive"): "540e887aa77c370674a58fc820672614b3ac1d4586a1b9ccd13f2f0ea202937c",
+    (4, 6, "epoly"): "eaa948088a2cd5f6383fb873167bfd9d1efa818cdd13add7c30f6771d9b0b488",
+    (4, 6, "count"): "f72e50ef3f55a3ba6d697c4a06f8f0859d3db878dd88c235d4464f4e3796fbd4",
+    (2, 4, "motive"): "a627d8e70748f5e8b2bd0964c0263e03794daea1ff3ee62a7d0e8ce0b9f09e46",
+    (2, 4, "epoly"): "962cc985baeb4423603e95871b3a86e8de6264cd49e117e045953f3aa042826b",
+    (2, 4, "count"): "28595383dbb8d04d6b2b3e24976c44b9155068285550831db5e9f9607fb52c75",
+}
+
+
+@pytest.mark.parametrize("n,d,measure", sorted(PINNED_HYPERSURFACE_HASHES))
+def test_hypersurface_answers_are_pinned(n, d, measure):
+    value = irr_hypersurface(n, d, measure)
+    text = json.dumps(value.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_HYPERSURFACE_HASHES[n, d, measure]
+    if measure == "motive":
+        assert all(type(c) is int for c in value.coeffs.values())
 
 
 def test_hypersurface_validation():

@@ -615,7 +615,8 @@ def test_poly_product_matches_the_schoolbook_product(a, b):
         packed = packed_mul(p.coeffs, q.coeffs)
         assert packed == expected
         assert all(packed.values())
-        assert all(type(c) is Fraction for c in packed.values())
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for c in packed.values())
 
 
 @settings(max_examples=80, deadline=None)
@@ -657,6 +658,68 @@ def test_poly_ring_sum_matches_repeated_addition():
     assert ring.sum(parts[:1]).coeffs == parts[0].coeffs
     assert ring.sum([]) == ring.zero()
     assert parts[0].coeffs == {0: 1, 2: Fraction(1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# the coefficient invariant: an int when integral, a Fraction otherwise
+
+_SMALL = st.one_of(st.integers(-9, 9),
+                   st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+_INVARIANT_TERMS = st.one_of(
+    st.dictionaries(st.integers(0, 8), _SMALL, max_size=6),
+    st.builds(lambda cs: dict(enumerate(cs)), st.lists(_SMALL, max_size=12)),
+)
+
+
+def _fractions(p):
+    return {e: Fraction(c) for e, c in p.coeffs.items()}
+
+
+def _plus(a, b):
+    return add_terms(dict(a), b.items())
+
+
+def _canonical(p):
+    """Assert that p keeps the invariant and hand p back."""
+    for c in p.coeffs.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), p.coeffs
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_INVARIANT_TERMS, _INVARIANT_TERMS, _SMALL, st.integers(1, 3), st.integers(1, 6))
+@example({2: 10**400, 1: 2**60 + 1, 0: 1}, {1: 3, 0: 1}, 2, 1, 2)  # int / int overflows a float
+@example({0: Fraction(1, 2), 1: 1}, {0: Fraction(1, 2), 1: 1}, Fraction(2), 2, 3)
+def test_poly_coefficients_are_ints_exactly_when_integral(a, b, c, r, d):
+    p, q = _canonical(Poly(a)), _canonical(Poly(b))
+    fp, fq = _fractions(p), _fractions(q)
+    assert _canonical(p + q).coeffs == _plus(fp, fq)
+    assert _canonical(p - q).coeffs == _plus(fp, {e: -v for e, v in fq.items()})
+    assert _canonical(p * q).coeffs == sparse_mul(fp, fq, operator.add)
+    if p.coeffs and q.coeffs:
+        assert _canonical(p._new(packed_mul(p.coeffs, q.coeffs))).coeffs == \
+            sparse_mul(fp, fq, operator.add)
+    assert _canonical(p.scale(c)).coeffs == sparse_mul(fp, {0: Fraction(c)}, operator.add)
+    assert _canonical(p.substitute_power(r)).coeffs == {e * r: v for e, v in fp.items()}
+    if not q.is_zero():
+        quo, rem = poly_divmod(p, q)
+        _canonical(quo), _canonical(rem)
+        assert rem.degree() < q.degree()
+        assert _plus(sparse_mul(_fractions(quo), fq, operator.add), _fractions(rem)) == fp
+        f = RatFunc(p, q)
+        _canonical(f.num), _canonical(f.den)
+        assert f.den.leading_coeff() == 1
+        assert sparse_mul(_fractions(f.num), fq, operator.add) == \
+            sparse_mul(fp, _fractions(f.den), operator.add)
+    quotient = PolyRing().exact_div_by_int(p, d)
+    assert _canonical(quotient).coeffs == {e: v / d for e, v in fp.items()}
+    integral = Poly({e: v.numerator for e, v in fp.items()})
+    quotient = PolyRing(integral=True).exact_div_by_int(integral, d)
+    if any(v % d for v in integral.coeffs.values()):
+        assert quotient is None
+    else:
+        assert _canonical(quotient).coeffs == {e: Fraction(v, d)
+                                                for e, v in integral.coeffs.items()}
 
 
 # ---------------------------------------------------------------------------
