@@ -20,8 +20,17 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arrangements import incidence_table
-from .plethysm import forward_zeta, invert_zeta, symbolic_inverse
+from .arrangements import (
+    REFERENCE_TABLE_DEGREES,
+    REFERENCE_TOP_DEGREES,
+    incidence_table,
+    monoid_oracle,
+    poset,
+    reference_table,
+    reference_top_column,
+    top_column_inverse,
+)
+from .plethysm import forward_zeta, invert_zeta, virtual_stratum
 from .rings import (
     IntegerRing,
     MathCheckError,
@@ -39,9 +48,11 @@ from .rings import (
 )
 from .types import (
     SplittingType,
+    canonical_sort_key,
     enumerate_types,
     hilbert_type_counts,
     partition_centralizer_order,
+    reachability_order,
 )
 
 HYPER_MEASURES = ("motive", "count", "epoly", "euler", "rcc", "realeuler",
@@ -166,8 +177,8 @@ def stratum_mass(lam, n):
     """Mass of the locally closed stratum of hypersurfaces with splitting
     type lam, as a polynomial in q.
 
-    Each part of degree b contributes the q-count of the projective space
-    of degree-b hypersurfaces, with no Adams twist, and the strata are
+    It is the virtual stratum over the q-counts of the projective spaces
+    of degree-b hypersurfaces, with no Adams twist: the closed strata
     separated by the inverse arrangement table.
     """
     if not isinstance(lam, SplittingType):
@@ -178,19 +189,8 @@ def stratum_mass(lam, n):
     if not 1 <= n <= MAX_STRATUM_DIM:
         raise ValueError("dimension must be between 1 and %d" % MAX_STRATUM_DIM)
     ring = PolyRing(var="q", integral=False, frobenius=False)
-    factors = {b: _projective_space(ring, _forms_count(n, b))
-               for b in range(1, d + 1)}
-    table = incidence_table(d, "a_inv")
-    total = ring.zero()
-    for tau in table.types:
-        coeff = table.value(tau, lam)
-        if not coeff:
-            continue
-        product = ring.one()
-        for b, _m in tau.parts:
-            product = ring.mul(product, factors[b])
-        total = ring.add(total, product.scale(coeff))
-    return total
+    xs = [_projective_space(ring, _forms_count(n, b)) for b in range(1, d + 1)]
+    return virtual_stratum(ring, xs, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +528,6 @@ def inverse_sum_checks(d):
     * for each k, the entries at ALL length-k types sum to
       (1/d) (-1)^(k+1) sum over e | d of mu(d/e) C(e, k).
     """
-    from .arrangements import top_column_inverse
-
     if d < 2:
         raise ValueError("the sum rules start at degree 2")
     column = top_column_inverse(d)
@@ -582,15 +580,13 @@ def verify_appendix(max_degree=None, use_cache=True):
     """Compare computed incidence tables against the bundled reference
     tables, entry by entry; mismatches raise MathCheckError naming the
     first offending pair of types."""
-    from . import arrangements
-
     out = []
-    for degree in arrangements.REFERENCE_TABLE_DEGREES:
+    for degree in REFERENCE_TABLE_DEGREES:
         if max_degree is not None and degree > max_degree:
             continue
         for tag in ("a", "a_inv", "mobius"):
-            reference = arrangements.reference_table(degree, tag)
-            live = arrangements.incidence_table(degree, tag, use_cache=use_cache)
+            reference = reference_table(degree, tag)
+            live = incidence_table(degree, tag, use_cache=use_cache)
             for tau in reference.types:
                 for lam in reference.types:
                     if reference.value(tau, lam) != live.value(tau, lam):
@@ -601,11 +597,11 @@ def verify_appendix(max_degree=None, use_cache=True):
                         )
             out.append({"check": "table-" + tag, "degree": degree,
                         "entries": len(reference.types) ** 2})
-    for degree in arrangements.REFERENCE_TOP_DEGREES:
+    for degree in REFERENCE_TOP_DEGREES:
         if max_degree is not None and degree > max_degree:
             continue
-        reference = arrangements.reference_top_column(degree)
-        live = arrangements.top_column_inverse(degree)
+        reference = reference_top_column(degree)
+        live = top_column_inverse(degree)
         for tau, value in live.items():
             if reference.get(tau, Fraction(0)) != value:
                 raise MathCheckError(
@@ -622,9 +618,6 @@ def verify_identities(max_degree=None):
     """Structural identities: the mass identity, the inverse-column sum
     rules, the Hilbert series of the type algebra, and the agreement of
     the neighbor-generated order with the arrangement order."""
-    from . import arrangements
-    from .types import reachability_order
-
     cap = 8 if max_degree is None else max_degree
     out = []
     for d in range(1, min(cap, MAX_MASS_DEGREE) + 1):
@@ -645,14 +638,14 @@ def verify_identities(max_degree=None):
     out.append({"check": "hilbert-series", "degree": order})
 
     for d in range(2, min(cap, 6) + 1):
-        above = reachability_order(d)
-        for tau in enumerate_types(d):
-            for lam in enumerate_types(d):
-                if arrangements.leq(tau, lam) != (lam in above[tau]):
-                    raise MathCheckError(
-                        "neighbor order disagrees with arrangement order",
-                        {"degree": d, "tau": tau.label(), "lam": lam.label()},
-                    )
+        closure = {(tau, lam) for tau, above in reachability_order(d).items() for lam in above}
+        diff = poset(d) ^ closure
+        if diff:
+            tau, lam = min(diff, key=lambda pair: tuple(map(canonical_sort_key, pair)))
+            raise MathCheckError(
+                "neighbor order disagrees with arrangement order",
+                {"degree": d, "tau": tau.label(), "lam": lam.label()},
+            )
         out.append({"check": "poset-agreement", "degree": d})
     return out
 
@@ -660,8 +653,6 @@ def verify_identities(max_degree=None):
 def verify_oracles(max_degree=None):
     """Independent recomputations: the free-monoid oracle for the tables
     and the brute-force count of transitive tuples."""
-    from .arrangements import monoid_oracle
-
     cap = 5 if max_degree is None else max_degree
     out = []
     for d, generators in ((3, (1, 2)), (4, (1, 1, 2)), (5, (1, 2, 3))):

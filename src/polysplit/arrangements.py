@@ -30,6 +30,7 @@ from .types import SplittingType, enumerate_types
 TABLE_TAGS = ("a", "e", "a_inv", "e_inv", "mobius")
 
 MAX_TABLE_DEGREE = 10
+MAX_POSET_DEGREE = 12
 MAX_ORACLE_DEGREE = 5
 MAX_ENUMERATED_ARRANGEMENTS = 10_000
 
@@ -367,6 +368,16 @@ def _compute_table(d, tag):
     return IncidenceTable(d, tag, types, _fractions(rows, scale))
 
 
+def poset(d):
+    """The order on degree-d types as the set of pairs (tau, lam) with tau <= lam,
+    read off the walker rows that the ``mobius`` table inverts."""
+    if d > MAX_POSET_DEGREE:
+        raise ValueError(f"poset materialization capped at degree {MAX_POSET_DEGREE}")
+    types = enumerate_types(d)
+    return {(tau, lam) for tau, row in zip(types, _walk_rows(types, False, first=True))
+            for lam, x in zip(types, row) if x}
+
+
 # ---------------------------------------------------------------------------
 # disk cache
 
@@ -540,11 +551,12 @@ def monoid_oracle(d, generator_degrees):
     where an element g_1^e_1 ... g_r^e_r has type given by the multiset of
     (degree of g_i, e_i).  The tables must satisfy
 
-        S_tau = sum over lam <= tau of a(lam, tau) * X_lam,
-        X_tau = sum over lam <= tau of a_inv(lam, tau) * S_lam,
+        S_tau = sum over lam of a(lam, tau) * X_lam,
+        X_tau = sum over lam of a_inv(lam, tau) * S_lam,
 
-    for every tau of degree at most d.  Returns a report dictionary with
-    the first mismatch, if any.
+    for every tau of degree at most d, where lam runs over every type of
+    that degree, so a nonzero entry off the order shows as a mismatch.
+    Returns a report dictionary with the first mismatch, if any.
     """
     if not 1 <= d <= MAX_ORACLE_DEGREE:
         raise ValueError("oracle degree must be between 1 and %d" % MAX_ORACLE_DEGREE)
@@ -599,10 +611,9 @@ def monoid_oracle(d, generator_degrees):
         table_a = incidence_table(degree, "a")
         table_inv = incidence_table(degree, "a_inv")
         for tau in enumerate_types(degree):
-            below = [lam for lam in enumerate_types(degree) if leq(lam, tau)]
             lhs_sum = zero
             rhs_sum = zero
-            for lam in below:
+            for lam in enumerate_types(degree):
                 a_val = table_a.value(lam, tau)
                 if a_val:
                     lhs_sum = lhs_sum + X.get(lam, zero).scale(a_val)

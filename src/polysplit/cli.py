@@ -6,6 +6,7 @@ assertion fails.  Assertion failures write a machine-readable JSON record to
 stderr naming the first offending input.
 """
 
+import itertools
 import json
 import sys
 
@@ -16,6 +17,7 @@ from .arrangements import (
     count_arrangements,
     enumerate_arrangements,
     incidence_table,
+    poset,
 )
 from .plethysm import (
     MeasureSequence,
@@ -25,7 +27,7 @@ from .plethysm import (
 )
 from .polysym import BASES, PolysymElement, convert
 from .rings import MathCheckError, format_rational
-from .types import canonical_sort_key, enumerate_types, parse_type, poset
+from .types import enumerate_types, parse_type
 
 TAG_ALIASES = {"a": "a", "e": "e", "ainv": "a_inv", "mobius": "mobius"}
 
@@ -56,15 +58,14 @@ def types_group():
               help="Also list the order relations.")
 def types_enumerate(degree, show_poset):
     """List the types of the given degree in canonical order."""
-    ordered = sorted(enumerate_types(degree), key=canonical_sort_key)
-    for tau in ordered:
+    types = enumerate_types(degree)
+    order = poset(degree) if show_poset else set()
+    for tau in types:
         click.echo(tau.label())
-    if show_poset:
-        order = poset(degree)
-        for tau in ordered:
-            for lam in ordered:
-                if tau != lam and order.leq(tau, lam):
-                    click.echo("%s <= %s" % (tau.label(), lam.label()))
+    # the canonical order extends the type order: its relations lie above the diagonal
+    for tau, lam in itertools.combinations(types, 2) if show_poset else ():
+        if (tau, lam) in order:
+            click.echo("%s <= %s" % (tau.label(), lam.label()))
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,16 @@ import math
 from fractions import Fraction
 
 from .arrangements import incidence_table
-from .polysym import PolysymElement, convert
+from .polysym import convert
 from .rings import (
     MPoly,
+    MPolyRing,
     MathCheckError,
     RING_TOKENS,
     divisors,
     moebius,
     ring_from_token,
 )
-from .types import SplittingType, enumerate_types
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,6 @@ def symbolic_inverse(d):
     Adams operations trivial."""
     if d < 1:
         raise ValueError("degree must be positive")
-    from .rings import MPolyRing
     names = tuple("x_%d" % k for k in range(1, d + 1))
     ring = MPolyRing(d, adams_mode="trivial", names=names)
     xs = [ring.variable(i) for i in range(d)]

@@ -174,29 +174,10 @@ def _apply(table, coords):
 
 
 @lru_cache(maxsize=None)
-def _e_single_in_h(b):
-    """E_b in H coordinates: signed sum of squarefree monomial vectors."""
-    coords_m = {tau: Fraction((-1) ** tau.length())
-                for tau in enumerate_types(b) if tau.is_unramified()}
-    return tuple(sorted(_apply(incidence_table(b, "a_inv"), coords_m).items(),
-                        key=lambda item: canonical_sort_key(item[0])))
-
-
-@lru_cache(maxsize=None)
-def _p_single_in_h(b):
-    """P_b in H coordinates."""
-    coords_m = {SplittingType([(k, b // k)]): Fraction(k) for k in divisors(b)}
-    return tuple(sorted(_apply(incidence_table(b, "a_inv"), coords_m).items(),
-                        key=lambda item: canonical_sort_key(item[0])))
-
-
-def _multiplicative_in_h(lam, single):
-    """Product over the parts (b, m) of lam of psi_m(single(b)), in H."""
-    coords = {_H_ONE_TYPE: Fraction(1)}
-    for b, m in lam.parts:
-        factor = _h_adams(m, dict(single(b)))
-        coords = _h_mul(coords, factor)
-    return coords
+def _single_in_h(basis, b):
+    """E_b or P_b (basis "E" or "P") in H coordinates, as a tuple of items."""
+    element = elementary_element(b) if basis == "E" else power_basis(b)
+    return tuple(_apply(incidence_table(b, "a_inv"), element.terms).items())
 
 
 @lru_cache(maxsize=None)
@@ -213,8 +194,13 @@ def _basis_table(basis, d, inverse):
         scale = math.factorial(d)
         return IncidenceTable(d, basis + "_inv", types, _fractions(
             _invert_triangular(rows, scale, {"degree": d, "tag": basis + "_inv"}), scale))
-    single = _e_single_in_h if basis == "E" else _p_single_in_h
-    columns = [_multiplicative_in_h(lam, single) for lam in types]
+    columns = []
+    for lam in types:
+        # the product over the parts (b, m) of lam of psi_m(E_b) or psi_m(P_b)
+        coords = {_H_ONE_TYPE: Fraction(1)}
+        for b, m in lam.parts:
+            coords = _h_mul(coords, _h_adams(m, dict(_single_in_h(basis, b))))
+        columns.append(coords)
     zero = Fraction(0)
     return IncidenceTable(d, basis, types,
                           [[col.get(tau, zero) for col in columns] for tau in types])
@@ -279,12 +265,7 @@ def power_basis(d):
 
 def power_element(tau):
     """The power element of an arbitrary type, in the monomial basis."""
-    coords = _multiplicative_in_h(tau, _p_single_in_h)
-    out = {}
-    for d in sorted({t.degree() for t in coords}):
-        part = {t: c for t, c in coords.items() if t.degree() == d}
-        add_terms(out, (_apply(incidence_table(d, "a"), part) if d else part).items())
-    return PolysymElement("M", out)
+    return convert(PolysymElement.monomial("P", tau), "M")
 
 
 def pairing(left, right):
@@ -300,13 +281,9 @@ def pairing(left, right):
 
 
 def omega(element):
-    """The involution sending the complete part (b, m) to psi_m(E_b)."""
-    h_coords = convert(element, "H").terms
-    out = {}
-    for tau, c in h_coords.items():
-        image = _multiplicative_in_h(tau, _e_single_in_h)
-        add_terms(out, [(sigma, c * v) for sigma, v in image.items()])
-    return convert(PolysymElement("H", out), element.basis)
+    """The involution sending the complete part (b, m) to psi_m(E_b): H_tau
+    goes to E_tau."""
+    return convert(PolysymElement("E", convert(element, "H").terms), element.basis)
 
 
 def hilbert_series(order):

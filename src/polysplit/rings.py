@@ -861,8 +861,12 @@ class PolyRing(RingDescriptor):
         return x if n == 1 else x.scale(n)
 
     def exact_div_by_int(self, x, d):
+        if d == 0:
+            raise ZeroDivisionError("polynomial division by zero")
         if not self.integral:
-            return x.scale(Fraction(1, d))
+            # one division per coefficient; a Fraction only where d does not divide
+            return x._new({e: c // d if type(c) is int and not c % d else Fraction(c, d)
+                           for e, c in x.coeffs.items()})
         if any(c % d for c in x.coeffs.values()):  # not divisible in Z[w]
             return None
         return x._new({e: c // d for e, c in x.coeffs.items()})

@@ -76,12 +76,6 @@ class SplittingType:
     def is_mixed(self):
         return self.pure_multiplicity() is None
 
-    def degree_vector(self):
-        return tuple(b for b, _ in self.parts)
-
-    def multiplicity_vector(self):
-        return tuple(m for _, m in self.parts)
-
     def slot_multiplicities(self, p):
         """Counts (n_1, ..., n_d) where n_j = number of parts (p, j); d = degree."""
         d = self.degree()
@@ -209,7 +203,7 @@ def hilbert_type_counts(N):
 
 
 # ---------------------------------------------------------------------------
-# elementary merge/forget moves and the poset
+# elementary merge/forget moves and their closure
 
 
 def merge_neighbors(tau):
@@ -263,52 +257,12 @@ def reachability_order(d):
     """The partial order on degree-d types as the reflexive-transitive
     closure of elementary merges and forgets; dict tau -> frozenset above."""
     above = {}
-    for tau in sorted(enumerate_types(d), key=canonical_sort_key, reverse=True):
+    for tau in reversed(enumerate_types(d)):
         reach = {tau}
         for nb in up_neighbors(tau):
             reach |= above[nb]
         above[tau] = frozenset(reach)
     return above
-
-
-MAX_POSET_DEGREE = 12
-
-
-class TypePoset:
-    """The poset of degree-d types under the arrangement-existence order."""
-
-    def __init__(self, d, relation):
-        self.degree = d
-        self.types = list(enumerate_types(d))
-        self._relation = relation  # set of (tau, lam) with tau <= lam
-
-    def leq(self, tau, lam):
-        return (tau, lam) in self._relation
-
-    def maximum(self):
-        return SplittingType([(self.degree, 1)])
-
-    def minimum(self):
-        return SplittingType([(1, self.degree)])
-
-    def relation_pairs(self):
-        return set(self._relation)
-
-
-def poset(d):
-    """Build the full degree-d poset, with the order decided by arrangement
-    existence (delegated to the arrangements module)."""
-    if d > MAX_POSET_DEGREE:
-        raise ValueError(f"poset materialization capped at degree {MAX_POSET_DEGREE}")
-    from . import arrangements
-
-    types = enumerate_types(d)
-    relation = set()
-    for tau in types:
-        for lam in types:
-            if arrangements.leq(tau, lam):
-                relation.add((tau, lam))
-    return TypePoset(d, relation)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from polysplit.rings import (
     moebius,
     packed_mul,
 )
-from polysplit.types import parse_type
+from polysplit.types import enumerate_types, parse_type
 
 
 def _poly(coeffs, var):
@@ -247,6 +247,29 @@ def test_stratum_masses_sum_to_the_closed_count():
                 total = total + stratum_mass(lam, n)
             expected = _poly({k: 1 for k in range(math.comb(n + d, d))}, var="q")
             assert total == expected
+
+
+# SHA-256 of json.dumps([[stratum_mass(lam, n).to_json() for n in 1..4] for
+# lam in enumerate_types(d)], sort_keys=True), recorded when stratum_mass
+# summed the inverse-table column itself instead of calling virtual_stratum
+PINNED_STRATUM_MASS_HASHES = {
+    1: "63c39bd8df4c21eb05d3ceeea97af7394d0a6e4fdbd404f438a7dbcc97e2e4e2",
+    2: "3f23ee8c56631897e16385365c851af75bfc42a30eac9c6821ae4b7fb1a33626",
+    3: "1dc826f40a3cd42944a81dc9cc0de3df26668ee4684a0666524dc487fcc27de1",
+    4: "ed1e5e4bd12891c41bd94f5c742bd2fb696a11bc83823d4b7c2f489a8cdb7b8c",
+    5: "ccd714667430d7b8a45c8964bab688d786533354a118c1c9d66639a032b48751",
+    6: "5e6985cd6e840928658c842e3da4c0102641ae202f296feabd44dde30b003ce8",
+    7: "00a82ce8894786ad8dc5ca22ee72373d5839c03c58262740f57759fd63d3b521",
+    8: "84dc8f4b2a5a7f574d141b54e65ca4f3ed0436cfcc6dd8d12f03183ac3c7bc15",
+}
+
+
+@pytest.mark.parametrize("d", sorted(PINNED_STRATUM_MASS_HASHES))
+def test_stratum_masses_are_pinned(d):
+    values = [[stratum_mass(lam, n).to_json() for n in range(1, 5)]
+              for lam in enumerate_types(d)]
+    text = json.dumps(values, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STRATUM_MASS_HASHES[d]
 
 
 def test_stratum_mass_validation():

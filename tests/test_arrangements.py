@@ -478,6 +478,22 @@ def test_monoid_oracle_small():
     assert report["ok"], report
 
 
+def test_monoid_oracle_sees_an_entry_off_the_order():
+    # (3) is not below (1^3), so a nonzero a_inv entry there breaks the
+    # X-from-S identity at (1^3)
+    table = arr.incidence_table(3, "a_inv")
+    i, j = table._pos[parse_type("3")], table._pos[parse_type("1^3")]
+    saved = table.entries[i][j]
+    assert saved == 0
+    table.entries[i][j] = Fraction(1)
+    try:
+        report = arr.monoid_oracle(3, [1, 2])
+    finally:
+        table.entries[i][j] = saved
+    assert not report["ok"]
+    assert report["failure"] == {"identity": "X-from-S", "type": "(1^3)", "degree": 3}
+
+
 def test_monoid_oracle_rejects_bad_input():
     with pytest.raises(ValueError):
         arr.monoid_oracle(0, [1])

@@ -5,6 +5,7 @@ exit code plus captured output, exactly as a shell user would see it.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -139,6 +140,24 @@ def test_types_enumerate(capsys):
                        "--poset")
     assert code == 0
     assert "(1^3) <= (3)" in out
+
+
+# SHA-256 of the stdout of `types enumerate --degree 8 --poset`, recorded
+# when the relations came from one leq call per pair of types
+PINNED_POSET_8 = "2684f7d4ae78733998b9b0f8795194165710179dcb11dd9102af6975ac1814a8"
+
+
+def test_types_enumerate_poset_is_pinned(capsys):
+    code, out, err = run(capsys, "types", "enumerate", "--degree", "8", "--poset")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_POSET_8
+
+
+def test_types_enumerate_poset_cap_prints_nothing(capsys):
+    code, out, err = run(capsys, "types", "enumerate", "--degree", "13", "--poset")
+    assert code == 1
+    assert out == ""
+    assert err == "error: poset materialization capped at degree 12\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Polysymmetric elements: conversions, products, pairing, involution."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -333,6 +335,47 @@ def test_pairing_vanishes_across_degrees():
 
 # ---------------------------------------------------------------------------
 # the involution
+
+
+# SHA-256 of json.dumps([f(tau).to_json() for tau in enumerate_types(d)],
+# sort_keys=True) for f = omega of H_tau and f = power_element, recorded
+# when both multiplied out the single E_b and P_b vectors themselves
+# instead of converting from the E and P bases
+PINNED_OMEGA_HASHES = {
+    1: "f0de9df7b23b4f4c998ea7115b15be9d505f22922ceb72070816a29844afb0c1",
+    2: "0eb462d862cf803d2452c98128a55366aa8e481b691c1af6dc85eab8d098986b",
+    3: "1e64ee5a77264d174cd781171f5937c3d56c5741483fff2a4b649c723868760c",
+    4: "ebf0ccac6a254a2d7e08e2268d55fedf2105fe6be65c097ec583d266320d4cd2",
+    5: "e322b35ee4fbb54de7a0b0b81b72edd57f52cd45f17a7f8d1af77d340fe584fa",
+    6: "f5276007ac89f566c15bc5ef1c7d706e1b1d6120a77622d5e6c98c7e772ce7c9",
+    7: "8a0c2c763255f3b4112f2c4f5e7d84e72073223a33cc9d6938a879e5d2edf5de",
+}
+PINNED_POWER_ELEMENT_HASHES = {
+    1: "0db31ce7aaec31212f3d3f08cc7287a7a2f239c36c7c6116cc84cc58627b4980",
+    2: "faa6f04ddaa79d904714e65b95b5d0c72adf2f0f85cab8df2f86b24e261e9045",
+    3: "a1f1d952ff88ddb57e4cf712cff0940a96e835a0cb8ed016ed73d22c8bb7cc04",
+    4: "be4f8bdd5bcf837f6cbf5a7302fb4f928f5e04dda6edb7f8cb73a38381d942f3",
+    5: "0f471e73b84a25da5b4bb7e731635faebe564242ac8e20d3773602d56d6bbc06",
+    6: "8112c93a1324012294c805818ece4faeb6ef3ec9cf2c3e60e09732bb1ccbda51",
+    7: "f7cd4c0e6f78f414ca394e82473826e16228bdbfef8c05c744281c9930f590ee",
+}
+
+
+def _digest(elements):
+    text = json.dumps([x.to_json() for x in elements], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("d", sorted(PINNED_OMEGA_HASHES))
+def test_omega_of_complete_vectors_is_pinned(d):
+    images = [omega(complete_element(tau)) for tau in enumerate_types(d)]
+    assert _digest(images) == PINNED_OMEGA_HASHES[d]
+
+
+@pytest.mark.parametrize("d", sorted(PINNED_POWER_ELEMENT_HASHES))
+def test_power_elements_are_pinned(d):
+    images = [power_element(tau) for tau in enumerate_types(d)]
+    assert _digest(images) == PINNED_POWER_ELEMENT_HASHES[d]
 
 
 def test_omega_on_complete_parts():

@@ -241,6 +241,9 @@ def test_exact_division_failure():
     assert poly.exact_div_by_int(poly.one(), 2) is None
     rational = RationalRing()
     assert rational.exact_div_by_int(Fraction(3), 2) == Fraction(3, 2)
+    for integral in (False, True):
+        with pytest.raises(ZeroDivisionError):
+            PolyRing(integral=integral).exact_div_by_int(Poly({}), 0)
 
 
 def test_pair_ring_componentwise():
@@ -690,6 +693,7 @@ def _canonical(p):
 @given(_INVARIANT_TERMS, _INVARIANT_TERMS, _SMALL, st.integers(1, 3), st.integers(1, 6))
 @example({2: 10**400, 1: 2**60 + 1, 0: 1}, {1: 3, 0: 1}, 2, 1, 2)  # int / int overflows a float
 @example({0: Fraction(1, 2), 1: 1}, {0: Fraction(1, 2), 1: 1}, Fraction(2), 2, 3)
+@example({0: 4, 1: 3, 2: Fraction(1, 2)}, {0: 1}, 1, 1, -2)  # a negative divisor
 def test_poly_coefficients_are_ints_exactly_when_integral(a, b, c, r, d):
     p, q = _canonical(Poly(a)), _canonical(Poly(b))
     fp, fq = _fractions(p), _fractions(q)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysplit.arrangements import count_arrangements, leq
+from polysplit import arrangements
+from polysplit.arrangements import count_arrangements, leq, poset
 from polysplit.types import (
     SplittingType,
-    TypePoset,
     canonical_sort_key,
     enumerate_types,
     forget_neighbors,
@@ -18,7 +18,6 @@ from polysplit.types import (
     merge_neighbors,
     parse_type,
     partition_centralizer_order,
-    poset,
     reachability_order,
 )
 
@@ -191,40 +190,53 @@ def test_poset_matches_reachability():
     # the arrangement order coincides with the merge/forget closure, and
     # the early-stopping order test agrees with the full count
     for d in range(1, 9):
-        p = poset(d)
+        pairs = poset(d)
         order = reachability_order(d)
-        for tau in p.types:
-            for lam in p.types:
+        for tau in enumerate_types(d):
+            for lam in enumerate_types(d):
                 expected = tau == lam or lam in order[tau]
-                assert p.leq(tau, lam) == expected, (tau.label(), lam.label())
+                assert ((tau, lam) in pairs) == expected, (tau.label(), lam.label())
                 assert leq(tau, lam) == (count_arrangements(tau, lam) > 0)
 
 
 def test_poset_extremes():
-    p = poset(5)
-    assert p.maximum() == T("5")
-    assert p.minimum() == T("1^5")
-    for tau in p.types:
-        assert p.leq(tau, p.maximum())
-        assert p.leq(p.minimum(), tau)
+    pairs = poset(5)
+    types = enumerate_types(5)
+    maxima = [lam for lam in types if all((tau, lam) in pairs for tau in types)]
+    minima = [tau for tau in types if all((tau, lam) in pairs for lam in types)]
+    assert maxima == [T("5")]
+    assert minima == [T("1^5")]
 
 
 def test_poset_relation_pairs_antisymmetric():
-    p = poset(5)
-    for tau, lam in p.relation_pairs():
+    pairs = poset(5)
+    for tau, lam in pairs:
         if tau != lam:
-            assert not p.leq(lam, tau)
+            assert (lam, tau) not in pairs
 
 
 def test_poset_transitive():
-    p = poset(5)
-    for tau in p.types:
-        for kappa in p.types:
-            if not p.leq(tau, kappa):
+    pairs = poset(5)
+    types = enumerate_types(5)
+    for tau in types:
+        for kappa in types:
+            if (tau, kappa) not in pairs:
                 continue
-            for lam in p.types:
-                if p.leq(kappa, lam):
-                    assert p.leq(tau, lam)
+            for lam in types:
+                if (kappa, lam) in pairs:
+                    assert (tau, lam) in pairs
+
+
+def test_poset_reads_the_walker_rows(monkeypatch):
+    # the pair set comes from one walker per row, not from a leq or a
+    # cached one-pair walk for each of the N^2 pairs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("poset made a one-pair query")
+
+    monkeypatch.setattr(arrangements, "leq", forbidden)
+    monkeypatch.setattr(arrangements, "_walk", forbidden)
+    order = reachability_order(7)
+    assert poset(7) == {(tau, lam) for tau in order for lam in order[tau]}
 
 
 def test_dual_reverses_nothing_but_preserves_degree():
