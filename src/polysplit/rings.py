@@ -136,8 +136,13 @@ def binomial(n, k):
 # rational JSON helpers
 
 
+_ZERO = Fraction(0)
+
+
 def parse_rational(text):
-    """Parse "p/q" or "p" into a Fraction."""
+    """Parse "p/q" or "p" into a Fraction; every "0" gives one shared zero."""
+    if text == "0":
+        return _ZERO
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):
@@ -150,7 +155,8 @@ def parse_rational(text):
 
 def format_rational(x):
     """Render a Fraction (or int) as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
+    if type(x) is not int and type(x) is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -400,29 +406,93 @@ class Poly:
         return show_terms((mono(e), self.coeffs[e]) for e in sorted(self.coeffs, reverse=True))
 
 
+def _dense_ints(p):
+    """(D, dense) with p = sum of dense[e] * w^e / D over e = 0 .. deg p, where
+    D is the lcm of the denominators of p; (1, []) for the zero polynomial."""
+    if not p.coeffs:
+        return 1, []
+    den, low, dense = _integer_terms(p.coeffs)
+    return den, [0] * low + dense
+
+
+def _over(pairs, d):
+    """The term dict {e: c / d} of (e, c) pairs with c nonzero: an int where
+    d divides an int c, else one Fraction."""
+    return {e: c // d if type(c) is int and not c % d else Fraction(c, d) for e, c in pairs}
+
+
+def _dense_over(p, dense, d):
+    """The polynomial in the variable of p with coefficient dense[e] / d at each e."""
+    return p._new(_over([(e, c) for e, c in enumerate(dense) if c], d))
+
+
+def _pseudo_divmod(a, b):
+    """Pseudo-division of dense int lists, b without a zero leading entry:
+    (s, q, r) with s * a = q * b + r and len(r) < len(b), r trimmed.
+
+    Each step subtracts t * w^k * b to clear the leading entry c of the
+    running remainder; when the leading entry lb of b does not divide c,
+    the remainder and quotient are first scaled by lb / gcd(c, lb), so an
+    exact quotient over Z runs with s = 1 and no scaling at all."""
+    r = list(a)
+    m = len(b) - 1
+    lb = b[-1]
+    s, q = 1, [0] * max(len(r) - m, 0)
+    for i in range(len(r) - 1, m - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        t, rem = divmod(c, lb)
+        if rem:
+            g = math.gcd(c, lb)
+            f, t = lb // g, c // g
+            s *= f
+            r[:i] = [x * f for x in r[:i]]
+            q = [x * f for x in q]
+        k = i - m
+        q[k] = t
+        r[k:i] = [x - t * y for x, y in zip(r[k:i], b)]
+    del r[m:]
+    while r and not r[-1]:
+        r.pop()
+    return s, q, r
+
+
+def _primitive(a):
+    """The dense int list a divided by the gcd of its entries."""
+    content = math.gcd(*a)
+    return a if content == 1 else [x // content for x in a]
+
+
+def _int_gcd(a, b):
+    """A primitive gcd over Z of the dense int lists a and b, not both empty,
+    by pseudo-remainders taken to their primitive parts; its sign is open."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        if len(b) == 1:
+            return [1]
+        a, b = b, _primitive(_pseudo_divmod(a, b)[2])
+    return a
+
+
 def poly_divmod(a, b):
     """Polynomial division with remainder over Q."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    q = Poly({}, var=a.var)
-    r = a
-    db, lb = b.degree(), b.leading_coeff()
-    while not r.is_zero() and r.degree() >= db:
-        shift = r.degree() - db
-        coeff = Fraction(r.leading_coeff(), lb)
-        term = Poly({shift: coeff}, var=a.var)
-        q = q + term
-        r = r - term * b
-    return q, r
+    den_a, dense_a = _dense_ints(a)
+    den_b, dense_b = _dense_ints(b)
+    # den_a * s * a = q * (den_b * b) + r
+    s, q, r = _pseudo_divmod(dense_a, dense_b)
+    return (_dense_over(a, [c * den_b for c in q], s * den_a),
+            _dense_over(a, r, s * den_a))
 
 
 def poly_gcd(a, b):
     """Monic greatest common divisor over Q."""
-    while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
-    if a.is_zero():
+    if a.is_zero() and b.is_zero():
         return a
-    return a.scale(Fraction(1) / a.leading_coeff())
+    g = _int_gcd(_dense_ints(a)[1], _dense_ints(b)[1])
+    return _dense_over(a, g, g[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +513,21 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if normalize:
-            g = poly_gcd(num, den)
-            if not g.is_zero() and g.degree() >= 0 and not (g.degree() == 0 and g.leading_coeff() == 1):
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
-            lead = den.leading_coeff()
-            if lead != 1:
-                num = num.scale(Fraction(1) / lead)
-                den = den.scale(Fraction(1) / lead)
+            den_n, dense_n = _dense_ints(num)
+            den_d, dense_d = _dense_ints(den)
+            if not dense_n:
+                dense_d = [1]
+            elif len(dense_d) > 1:
+                # g is primitive, so by Gauss's lemma both quotients by g are
+                # integral and their pseudo-divisions never scale (s = 1)
+                g = _int_gcd(dense_n, dense_d)
+                if len(g) > 1:
+                    dense_n = _pseudo_divmod(dense_n, g)[1]
+                    dense_d = _pseudo_divmod(dense_d, g)[1]
+            # num / den = (dense_n * den_d) / (dense_d * den_n); den made monic
+            lead = dense_d[-1]
+            num = _dense_over(num, [c * den_d for c in dense_n], lead * den_n)
+            den = _dense_over(den, dense_d, lead)
         self.num = num
         self.den = den
 
@@ -864,9 +941,7 @@ class PolyRing(RingDescriptor):
         if d == 0:
             raise ZeroDivisionError("polynomial division by zero")
         if not self.integral:
-            # one division per coefficient; a Fraction only where d does not divide
-            return x._new({e: c // d if type(c) is int and not c % d else Fraction(c, d)
-                           for e, c in x.coeffs.items()})
+            return x._new(_over(x.coeffs.items(), d))
         if any(c % d for c in x.coeffs.values()):  # not divisible in Z[w]
             return None
         return x._new({e: c // d for e, c in x.coeffs.items()})
@@ -906,7 +981,9 @@ class RationalFunctionRing(RingDescriptor):
         return x.substitute_power(r)
 
     def exact_div_by_int(self, x, d):
-        return RatFunc(x.num.scale(Fraction(1, d)), x.den, normalize=False)
+        if d == 0:
+            raise ZeroDivisionError("rational function division by zero")
+        return RatFunc(x.num._new(_over(x.num.coeffs.items(), d)), x.den, normalize=False)
 
     def to_json(self, x):
         return x.to_json()

@@ -414,6 +414,39 @@ def test_sl_validation():
         sl_character_variety(2, 2, mode="motive")
 
 
+# SHA-256 of the canonical JSON of sl_character_variety(d, r) for every
+# degree and rank the library accepts, recorded from the Fraction long
+# division that RatFunc normalised with before the integer kernel
+PINNED_SL_HASHES = {
+    (1, 1): "9056faa39cf140cfdf72ca988416a33494983791c76292fd26c0195f38b81cd9",
+    (1, 2): "9056faa39cf140cfdf72ca988416a33494983791c76292fd26c0195f38b81cd9",
+    (1, 3): "9056faa39cf140cfdf72ca988416a33494983791c76292fd26c0195f38b81cd9",
+    (1, 4): "9056faa39cf140cfdf72ca988416a33494983791c76292fd26c0195f38b81cd9",
+    (2, 1): "da785505500686fe2b0491ae864ce11e1744c6f4d70b5a7fe98f8aaf4a061dba",
+    (2, 2): "ac84a527e6648b9b269800d259b6b40fda5a6cfec44671158d7212b6afecfab5",
+    (2, 3): "695e08963e3af8e66a44e64e753b7a823e5a06a99605f54f75bade123c77e107",
+    (2, 4): "0f4a45309bd8dfd36622e3a3cb43d000f37b3a76568dfca9368892d81898ad14",
+    (3, 1): "406f6a34724fceefd2941f0a32163c71af9538deb2065b596a94a2190c1c19fc",
+    (3, 2): "5799b7e0692906718ffb410d0b116a1db5ad7b983185c334b6f9db2201b02f76",
+    (3, 3): "538c5636434abb99dca3cf3de89b04f9f0ca0b775f8d2f161ff57a919dca122e",
+    (3, 4): "5e2c6b5f27a2ac41049c2f2ed6ffbf028d7dc50a28d10d69ed2a1a43e93898ac",
+    (4, 1): "5954003fd9953e6f224d805b3fc741df9a98d75490afc2c3b929e4d5cc2ec139",
+    (4, 2): "1b924303a8764fe0ec8dc83810b4e6e8f173acd5cd3addef972fa6b75bb55d91",
+    (4, 3): "591fc24c768b95d644ea3954f103ebc9934331aceb336712bbe08b53b863f2d2",
+    (4, 4): "ddf6343b6d6aacfc64f3835a07103f74ddaeea11b953331cffd6f6e510ca5cfa",
+    (5, 1): "5882a9d27f14a645b96a6a23a4c3ec69258b3d023d8fc88e552fe1f93a40c371",
+    (5, 2): "e3ff3aa1e8ecaab74424b8df9d3e2158c65e7f465726e6303605ff7fe3750ecd",
+    (5, 3): "2fc4806057bdf707d89707444eb956421b2460c16a1ae3c106b799026d0a0159",
+    (5, 4): "28a9494867229eb0b94b90ec30e4c9c63e1ac2eba418ee52384009eabe19f5e4",
+}
+
+
+@pytest.mark.parametrize("d,r", sorted(PINNED_SL_HASHES))
+def test_sl_character_varieties_are_pinned(d, r):
+    text = json.dumps([p.to_json() for p in sl_character_variety(d, r)], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SL_HASHES[d, r]
+
+
 # ---------------------------------------------------------------------------
 # the mass identity
 

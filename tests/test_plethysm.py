@@ -6,9 +6,11 @@ geometric sequences, and by roundtripping with the forward expansion over
 every shipped ring.
 """
 
+import hashlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,7 +43,10 @@ from polysplit.rings import (
     MathCheckError,
     MPoly,
     MPolyRing,
+    Poly,
     PolyRing,
+    RatFunc,
+    RationalFunctionRing,
     RationalRing,
     TruncatedSeries,
     WittElement,
@@ -325,6 +330,34 @@ def test_roundtrip_random_rationals(values):
     xs = list(values)
     assert forward_zeta(ring, invert_zeta(ring, xs)) == xs
     assert invert_zeta(ring, forward_zeta(ring, xs)) == xs
+
+
+def _seeded_ratfunc_values():
+    rng = random.Random(2022)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    return [RatFunc(Poly({0: frac(), 1: rng.randint(-9, 9)}),
+                    Poly({0: 1, 1: rng.randint(1, 5)}))
+            for _ in range(6)]
+
+
+def _sha256(values):
+    text = json.dumps([v.to_json() for v in values], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_ratfunc_zeta_is_pinned():
+    # recorded from the Fraction long division that RatFunc normalised with
+    # before the integer kernel
+    ring = RationalFunctionRing()
+    us = _seeded_ratfunc_values()
+    xs = forward_zeta(ring, us)
+    assert _sha256(xs) == "4663ce07d100bb013e8b2aa97c60dd94df5f16c515baaef68a0a62ab4c80fe5c"
+    assert _sha256(invert_zeta(ring, us)) == \
+        "ac5df1009f84ef384c17ece67d6fc7d3f3a29646b2df5b8fae1501050c9ae38e"
+    assert invert_zeta(ring, xs) == us
 
 
 # ---------------------------------------------------------------------------

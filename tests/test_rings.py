@@ -31,6 +31,10 @@ from polysplit.rings import (
     partition_count_bounded,
     partitions,
     poly_divmod,
+    poly_gcd,
+    _dense_ints,
+    _int_gcd,
+    _pseudo_divmod,
     packed_mul,
     prime_omega,
     ring_from_token,
@@ -100,6 +104,11 @@ def test_rational_round_trip():
     assert parse_rational("-5") == Fraction(-5)
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(Fraction(7)) == "7"
+    # ints and Fractions are read directly, anything else through Fraction
+    assert [format_rational(x) for x in (-12, 0, True, 0.75, "6/8")] == ["-12", "0", "1", "3/4", "3/4"]
+    # every "0" is one shared zero, so a table of zeros holds one object
+    assert parse_rational("0") == 0 and parse_rational("0") is parse_rational("0")
+    assert parse_rational(0) == 0 and parse_rational("-0") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +253,10 @@ def test_exact_division_failure():
     for integral in (False, True):
         with pytest.raises(ZeroDivisionError):
             PolyRing(integral=integral).exact_div_by_int(Poly({}), 0)
+    ratfunc = RationalFunctionRing()
+    for x in (ratfunc.zero(), ratfunc.variable()):
+        with pytest.raises(ZeroDivisionError):
+            ratfunc.exact_div_by_int(x, 0)
 
 
 def test_pair_ring_componentwise():
@@ -724,6 +737,100 @@ def test_poly_coefficients_are_ints_exactly_when_integral(a, b, c, r, d):
     else:
         assert _canonical(quotient).coeffs == {e: Fraction(v, d)
                                                 for e, v in integral.coeffs.items()}
+
+
+# ---------------------------------------------------------------------------
+# the integer pseudo-remainder kernel against Fraction long division and
+# Euclid over Q, the reference it replaced
+
+
+def _reference_divmod(a, b):
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q = Poly({}, var=a.var)
+    r = a
+    db, lb = b.degree(), b.leading_coeff()
+    while not r.is_zero() and r.degree() >= db:
+        shift = r.degree() - db
+        coeff = Fraction(r.leading_coeff(), lb)
+        term = Poly({shift: coeff}, var=a.var)
+        q = q + term
+        r = r - term * b
+    return q, r
+
+
+def _reference_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, _reference_divmod(a, b)[1]
+    if a.is_zero():
+        return a
+    return a.scale(Fraction(1) / a.leading_coeff())
+
+
+def _reference_normal_form(num, den):
+    g = _reference_gcd(num, den)
+    if not g.is_zero() and g.degree() >= 0 and not (g.degree() == 0 and g.leading_coeff() == 1):
+        num = _reference_divmod(num, g)[0]
+        den = _reference_divmod(den, g)[0]
+    lead = den.leading_coeff()
+    if lead != 1:
+        num = num.scale(Fraction(1) / lead)
+        den = den.scale(Fraction(1) / lead)
+    return num, den
+
+
+_WIDE = st.one_of(st.integers(-2**80, 2**80),
+                  st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 60)))
+_WIDE_POLY = st.dictionaries(st.integers(0, 5), _WIDE, max_size=6).map(Poly)
+_WIDE_NONZERO = _WIDE_POLY.filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=120, deadline=None)
+@given(_WIDE_POLY, _WIDE_NONZERO, _WIDE_NONZERO)
+@example(Poly({3: -2**80, 1: Fraction(7, 60), 0: 5}), Poly({2: -3, 0: Fraction(1, 59)}),
+         Poly({1: -1, 0: 2}))                                       # negative leading terms
+@example(Poly({4: Fraction(2**80, 7), 0: -1}), Poly({0: Fraction(-7, 60)}),
+         Poly({0: 3}))                                              # a constant divisor
+@example(Poly({}), Poly({2: 5, 1: Fraction(1, 3)}), Poly({1: 1, 0: 1}))  # a zero numerator
+@example(Poly({2: Fraction(3, 8), 0: -2**79}), Poly({2: Fraction(3, 8), 0: -2**79}),
+         Poly({1: 2}))                                              # equal operands
+@example(Poly({2: 1, 0: -1}), Poly({1: 1, 0: -1}),
+         Poly({3: Fraction(-2**80, 59), 1: 6, 0: Fraction(1, 60)}))   # a wide planted factor
+def test_division_kernel_matches_the_fraction_reference(p, q, c):
+    for num, den in ((p, q), (p * c, q * c), (q, p) if not p.is_zero() else (q, q)):
+        quo, rem = poly_divmod(num, den)
+        ref_quo, ref_rem = _reference_divmod(num, den)
+        assert (_canonical(quo).coeffs, _canonical(rem).coeffs) == (ref_quo.coeffs, ref_rem.coeffs)
+        assert _canonical(poly_gcd(num, den)).coeffs == _reference_gcd(num, den).coeffs
+        f = RatFunc(num, den)
+        assert (_canonical(f.num).coeffs, _canonical(f.den).coeffs) == \
+            tuple(x.coeffs for x in _reference_normal_form(num, den))
+        assert f.den.leading_coeff() == 1
+        assert _reference_gcd(f.num, f.den).coeffs == {0: 1}
+        assert math.gcd(*_int_gcd(_dense_ints(num)[1], _dense_ints(den)[1])) == 1
+    assert RatFunc(p * c, q * c) == RatFunc(p, q)
+
+
+def test_exact_quotient_by_the_gcd_needs_no_scaling():
+    # g is primitive over Z, so by Gauss's lemma the quotients of num and
+    # den by g are integral and no pseudo-division step scales
+    g = [3, -2, 5]
+    num, den = [0, 6, -4, 10], [-3, 2, -5, 3, -2, 5]
+    assert _int_gcd(num, den) in (g, [-x for x in g])
+    assert _pseudo_divmod(num, g) == (1, [0, 2], [])
+    assert _pseudo_divmod(den, g) == (1, [-1, 0, 0, 1], [])
+    # 2w + 1 divides no leading term of w^3 + 1: 8 (w^3 + 1) = (4w^2 - 2w + 1)(2w + 1) + 7
+    assert _pseudo_divmod([1, 0, 0, 1], [1, 2]) == (8, [1, -2, 4], [7])
+
+
+def test_ratfunc_ring_divides_the_numerator_once():
+    ring = RationalFunctionRing()
+    w = Poly.variable()
+    x = RatFunc(w.scale(6) + Poly.const(Fraction(1, 2)), w + Poly.const(3))
+    third = ring.exact_div_by_int(x, 3)
+    assert third.num.coeffs == {1: 2, 0: Fraction(1, 6)} and third.den == x.den
+    _canonical(third.num)
+    assert ring.exact_div_by_int(x, -2).num.coeffs == {1: -3, 0: Fraction(-1, 4)}
 
 
 # ---------------------------------------------------------------------------
