@@ -38,7 +38,9 @@ from .rings import (
     Poly,
     PolyRing,
     QQ,
+    RatFunc,
     RationalFunctionRing,
+    check_range,
     divisors,
     moebius,
     partition_count_bounded,
@@ -77,13 +79,6 @@ MAX_MASS_DEGREE = 12
 # hypersurfaces in projective space
 
 
-def _check_hyper_range(n, d):
-    if not 1 <= n <= MAX_HYPER_DIM:
-        raise ValueError("dimension must be between 1 and %d" % MAX_HYPER_DIM)
-    if not 1 <= d <= MAX_HYPER_DEGREE:
-        raise ValueError("degree must be between 1 and %d" % MAX_HYPER_DEGREE)
-
-
 def _forms_count(n, k):
     """Number of degree-k monomials in n + 1 variables."""
     return math.comb(n + k, k)
@@ -113,7 +108,8 @@ def irr_hypersurface(n, d, measure="motive", q=None):
     * ``realeuler``: Euler measure of the real locus; the sequence is
                      checked to be supported on powers of two.
     """
-    _check_hyper_range(n, d)
+    check_range("dimension", n, MAX_HYPER_DIM)
+    check_range("degree", d, MAX_HYPER_DEGREE)
     if measure not in HYPER_MEASURES or measure == "stratum-mass":
         raise ValueError("unknown hypersurface measure %r" % (measure,))
     if q is not None and measure != "count":
@@ -157,10 +153,8 @@ def real_euler_factorization(n, upto):
     The closed sequence is 1 when C(n + k, k) is odd and 0 otherwise; the
     inversion is checked to be supported on power-of-two degrees.
     """
-    if not 1 <= n <= MAX_REAL_EULER_DIM:
-        raise ValueError("dimension must be between 1 and %d" % MAX_REAL_EULER_DIM)
-    if not 1 <= upto <= MAX_REAL_EULER_ORDER:
-        raise ValueError("order must be between 1 and %d" % MAX_REAL_EULER_ORDER)
+    check_range("dimension", n, MAX_REAL_EULER_DIM)
+    check_range("order", upto, MAX_REAL_EULER_ORDER)
     ring = IntegerRing()
     xs = [_forms_count(n, k) % 2 for k in range(1, upto + 1)]
     us = invert_zeta(ring, xs, upto=upto)
@@ -184,10 +178,8 @@ def stratum_mass(lam, n):
     if not isinstance(lam, SplittingType):
         raise ValueError("the stratum is indexed by a splitting type")
     d = lam.degree()
-    if not 1 <= d <= MAX_STRATUM_DEGREE:
-        raise ValueError("stratum degree must be between 1 and %d" % MAX_STRATUM_DEGREE)
-    if not 1 <= n <= MAX_STRATUM_DIM:
-        raise ValueError("dimension must be between 1 and %d" % MAX_STRATUM_DIM)
+    check_range("stratum degree", d, MAX_STRATUM_DEGREE)
+    check_range("dimension", n, MAX_STRATUM_DIM)
     ring = PolyRing(var="q", integral=False, frobenius=False)
     xs = [_projective_space(ring, _forms_count(n, b)) for b in range(1, d + 1)]
     return virtual_stratum(ring, xs, lam)
@@ -214,10 +206,8 @@ def transitive_tuples(d, r):
     The closed sequence is x_k = sum over partitions of k of z^(r-1) with z
     the centralizer order; inverting it isolates the transitive classes.
     """
-    if not 1 <= d <= MAX_TRANSITIVE_LETTERS:
-        raise ValueError("letters must be between 1 and %d" % MAX_TRANSITIVE_LETTERS)
-    if not 1 <= r <= MAX_TRANSITIVE_RANK:
-        raise ValueError("rank must be between 1 and %d" % MAX_TRANSITIVE_RANK)
+    check_range("letters", d, MAX_TRANSITIVE_LETTERS)
+    check_range("rank", r, MAX_TRANSITIVE_RANK)
     ring = IntegerRing()
     xs = []
     for k in range(1, d + 1):
@@ -242,10 +232,8 @@ def _is_transitive(tup, d):
 def transitive_oracle(d, r):
     """Brute-force count of transitive r-tuples up to simultaneous
     conjugation, via orbit counting over conjugacy-class representatives."""
-    if not 1 <= d <= MAX_ORACLE_LETTERS:
-        raise ValueError("oracle letters must be between 1 and %d" % MAX_ORACLE_LETTERS)
-    if not 1 <= r <= MAX_ORACLE_RANK:
-        raise ValueError("oracle rank must be between 1 and %d" % MAX_ORACLE_RANK)
+    check_range("oracle letters", d, MAX_ORACLE_LETTERS)
+    check_range("oracle rank", r, MAX_ORACLE_RANK)
     perms = list(itertools.permutations(range(d)))
 
     def compose(a, b):
@@ -287,30 +275,21 @@ def transitive_oracle(d, r):
 # character varieties with special-linear weights
 
 
-def _ratfunc_pow(ring, x, e):
-    out = ring.one()
-    for _ in range(e):
-        out = ring.mul(out, x)
-    return out
-
-
 def _sl_closed_value(ring, b, r):
     """x_b(w) = (w - 1)^(-r) sum over partitions of b of
     prod_j (w^j - 1)^(n_j r) / (n_j! j^(n_j))."""
-    w = ring.variable()
-    total = ring.zero()
+    w, one = Poly.variable(ring.var), Poly.const(1, ring.var)
+    total = Poly({}, ring.var)
     for mult in partitions(b):
-        numerator = ring.one()
+        numerator = one
         denominator = 1
         for j, n in enumerate(mult, start=1):
             if not n:
                 continue
-            factor = ring.sub(ring.adams(j, w), ring.one())
-            numerator = ring.mul(numerator, _ratfunc_pow(ring, factor, n * r))
+            numerator = numerator * (w.substitute_power(j) - one) ** (n * r)
             denominator *= math.factorial(n) * j**n
-        total = ring.add(total, ring.exact_div_by_int(numerator, denominator))
-    shift = _ratfunc_pow(ring, ring.sub(w, ring.one()), r).inverse()
-    return ring.mul(total, shift)
+        total = total + numerator.scale(Fraction(1, denominator))
+    return RatFunc(total, (w - one) ** r)
 
 
 def sl_character_variety(d, r, mode="epoly"):
@@ -321,10 +300,8 @@ def sl_character_variety(d, r, mode="epoly"):
     inverse is a polynomial in w; ``euler`` inverts the integer sequence
     x_k = k^(r-1).
     """
-    if not 1 <= d <= MAX_SL_DEGREE:
-        raise ValueError("degree must be between 1 and %d" % MAX_SL_DEGREE)
-    if not 1 <= r <= MAX_SL_RANK:
-        raise ValueError("rank must be between 1 and %d" % MAX_SL_RANK)
+    check_range("degree", d, MAX_SL_DEGREE)
+    check_range("rank", r, MAX_SL_RANK)
     if mode == "euler":
         ring = IntegerRing()
         xs = [k ** (r - 1) for k in range(1, d + 1)]
@@ -356,8 +333,7 @@ def mass_identity(d):
 
     Returns {k: common value}; a mismatch raises MathCheckError.
     """
-    if not 1 <= d <= MAX_MASS_DEGREE:
-        raise ValueError("degree must be between 1 and %d" % MAX_MASS_DEGREE)
+    check_range("degree", d, MAX_MASS_DEGREE)
     sums = {k: Fraction(0) for k in range(d)}
     for tau in enumerate_types(d):
         weight = tau.aut_order()

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .rings import MathCheckError, MPoly, format_rational, moebius, parse_rational
+from .rings import MathCheckError, MPoly, check_range, format_rational, moebius, parse_rational
 from .types import SplittingType, enumerate_types
 
 TABLE_TAGS = ("a", "e", "a_inv", "e_inv", "mobius")
@@ -437,8 +437,7 @@ def incidence_table(d, tag, use_cache=True):
     """
     if tag not in TABLE_TAGS:
         raise ValueError("unknown table tag %r" % (tag,))
-    if not 1 <= d <= MAX_TABLE_DEGREE:
-        raise ValueError("table degree must be between 1 and %d" % MAX_TABLE_DEGREE)
+    check_range("table degree", d, MAX_TABLE_DEGREE)
     if not use_cache:
         return _compute_table(d, tag)
     table = _memory_tables.get((d, tag))
@@ -558,8 +557,7 @@ def monoid_oracle(d, generator_degrees):
     that degree, so a nonzero entry off the order shows as a mismatch.
     Returns a report dictionary with the first mismatch, if any.
     """
-    if not 1 <= d <= MAX_ORACLE_DEGREE:
-        raise ValueError("oracle degree must be between 1 and %d" % MAX_ORACLE_DEGREE)
+    check_range("oracle degree", d, MAX_ORACLE_DEGREE)
     degrees = list(generator_degrees)
     if not degrees or any(g < 1 for g in degrees):
         raise ValueError("generator degrees must be positive")

@@ -28,11 +28,10 @@ from fractions import Fraction
 from .arrangements import incidence_table
 from .polysym import convert
 from .rings import (
-    MPoly,
     MPolyRing,
-    MathCheckError,
     RING_TOKENS,
     divisors,
+    exact_div,
     moebius,
     ring_from_token,
 )
@@ -40,13 +39,6 @@ from .rings import (
 
 # ---------------------------------------------------------------------------
 # exact combinations
-
-
-def _exact_div(ring, x, d, context):
-    result = ring.exact_div_by_int(x, d)
-    if result is None:
-        raise MathCheckError("exact division by %d failed" % d, context)
-    return result
 
 
 def _rational_combination(ring, pairs, context):
@@ -60,7 +52,7 @@ def _rational_combination(ring, pairs, context):
     total = ring.sum(ring.scalar_mul_int(int(c * scale), v) for c, v in pairs)
     if scale == 1:
         return total
-    return _exact_div(ring, total, scale, context)
+    return exact_div(ring, total, scale, context)
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +64,8 @@ def newton_poly(m):
     functions, as a polynomial in variables h_1 ... h_m."""
     if m < 1:
         raise ValueError("Newton polynomials are indexed from 1")
-    powers = []
-    h = [MPoly.variable(m, i) for i in range(m)]
-    for k in range(1, m + 1):
-        p = h[k - 1].scale(k)
-        for i in range(1, k):
-            p = p - h[i - 1] * powers[k - i - 1]
-        powers.append(p)
-    return powers[m - 1]
+    ring = MPolyRing(m)
+    return _newton_values(ring, [ring.variable(i) for i in range(m)], m)[m]
 
 
 def _newton_values(ring, xs, upto):
@@ -118,7 +104,7 @@ def invert_zeta(ring, values, upto=None):
             if mu:
                 terms.append(ring.scalar_mul_int(mu, ring.adams(d // m, powers[m])))
         total = ring.sum(terms)
-        us.append(_exact_div(ring, total, d, {"degree": d, "direction": "invert"}))
+        us.append(exact_div(ring, total, d, {"degree": d, "direction": "invert"}))
     return us
 
 
@@ -138,8 +124,8 @@ def forward_zeta(ring, values, upto=None):
     xs = [ring.one()]
     for d in range(1, upto + 1):
         total = ring.sum(ring.mul(big_p[i], xs[d - i]) for i in range(1, d + 1))
-        xs.append(_exact_div(ring, total, d,
-                             {"degree": d, "direction": "forward"}))
+        xs.append(exact_div(ring, total, d,
+                            {"degree": d, "direction": "forward"}))
     return xs[1:]
 
 
@@ -223,8 +209,8 @@ def multinomial(ring, x, counts):
         denominator *= math.factorial(n)
     if denominator == 1:
         return product
-    return _exact_div(ring, product, denominator,
-                      {"op": "multinomial", "counts": counts})
+    return exact_div(ring, product, denominator,
+                     {"op": "multinomial", "counts": counts})
 
 
 def binomial_strata(ring, us, tau):

@@ -323,9 +323,6 @@ class PolysymRing(RingDescriptor):
             raise ZeroDivisionError
         return x.scale(Fraction(1, d))
 
-    def to_json(self, x):
-        return x.to_json()
-
     def from_json(self, obj):
         element = PolysymElement.from_json(obj)
         if element.basis != "H":

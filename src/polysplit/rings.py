@@ -5,7 +5,7 @@ Every computation in the package runs over a ring described by a
 operations ``psi_r``, and an optional exact-division-by-integer.  The shipped
 rings are the trivial-Adams integers and rationals, sparse polynomial rings
 over Z and Q with Frobenius Adams (``w -> w^r``), the univariate rational
-function field over Q, a componentwise pair ring, the truncated big Witt ring
+function field over Q, the pair ring Z x Z, the truncated big Witt ring
 of Q, and a multivariate polynomial ring over Q used for symbolic runs.
 
 No floating point is used anywhere; all scalars are ints or
@@ -123,6 +123,12 @@ def partition_count_bounded(k, max_parts):
         for j in range(part, k + 1):
             table[j] += table[j - part]
     return table[k]
+
+
+def check_range(what, value, cap):
+    """Reject an input outside 1 .. cap with "<what> must be between 1 and cap"."""
+    if not 1 <= value <= cap:
+        raise ValueError("%s must be between 1 and %d" % (what, cap))
 
 
 def binomial(n, k):
@@ -507,33 +513,38 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, normalize=True):
+    def __init__(self, num, den=None):
         if den is None:
             den = Poly.const(1, var=num.var)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if normalize:
-            den_n, dense_n = _dense_ints(num)
-            den_d, dense_d = _dense_ints(den)
-            if not dense_n:
-                dense_d = [1]
-            elif len(dense_d) > 1:
-                # g is primitive, so by Gauss's lemma both quotients by g are
-                # integral and their pseudo-divisions never scale (s = 1)
-                g = _int_gcd(dense_n, dense_d)
-                if len(g) > 1:
-                    dense_n = _pseudo_divmod(dense_n, g)[1]
-                    dense_d = _pseudo_divmod(dense_d, g)[1]
-            # num / den = (dense_n * den_d) / (dense_d * den_n); den made monic
-            lead = dense_d[-1]
-            num = _dense_over(num, [c * den_d for c in dense_n], lead * den_n)
-            den = _dense_over(den, dense_d, lead)
-        self.num = num
-        self.den = den
+        den_n, dense_n = _dense_ints(num)
+        den_d, dense_d = _dense_ints(den)
+        if not dense_n:
+            dense_d = [1]
+        elif len(dense_d) > 1:
+            # g is primitive, so by Gauss's lemma both quotients by g are
+            # integral and their pseudo-divisions never scale (s = 1)
+            g = _int_gcd(dense_n, dense_d)
+            if len(g) > 1:
+                dense_n = _pseudo_divmod(dense_n, g)[1]
+                dense_d = _pseudo_divmod(dense_d, g)[1]
+        # num / den = (dense_n * den_d) / (dense_d * den_n); den made monic
+        lead = dense_d[-1]
+        self.num = _dense_over(num, [c * den_d for c in dense_n], lead * den_n)
+        self.den = _dense_over(den, dense_d, lead)
+
+    @classmethod
+    def _new(cls, num, den):
+        """The rational function num / den, already in normal form."""
+        result = cls.__new__(cls)
+        result.num = num
+        result.den = den
+        return result
 
     @classmethod
     def from_poly(cls, p):
-        return cls(p, Poly.const(1, var=p.var), normalize=False)
+        return cls._new(p, Poly.const(1, var=p.var))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -550,7 +561,7 @@ class RatFunc:
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, normalize=False)
+        return RatFunc._new(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -595,11 +606,12 @@ class RatFunc:
 # TruncatedSeries); a series is the list of its coefficients up to ``order``
 
 
-def _div_exact(ring, x, n):
-    y = ring.exact_div_by_int(x, n)
-    if y is None:
-        raise ValueError(f"series coefficient not divisible by {n}")
-    return y
+def exact_div(ring, x, d, detail=None):
+    """x / d in the ring; MathCheckError when the quotient leaves the ring."""
+    result = ring.exact_div_by_int(x, d)
+    if result is None:
+        raise MathCheckError("exact division by %d failed" % d, detail)
+    return result
 
 
 def ser_mul(ring, a, b, order):
@@ -635,7 +647,7 @@ def ser_log(ring, f, order):
         acc = zero
         for k in range(1, n):
             acc = add(acc, mul(scale(k, g[k]), f[n - k]))
-        g[n] = ring.sub(f[n], _div_exact(ring, acc, n))
+        g[n] = ring.sub(f[n], exact_div(ring, acc, n))
     return g
 
 
@@ -649,7 +661,7 @@ def ser_exp(ring, f, order):
         acc = zero
         for k in range(1, n + 1):
             acc = add(acc, mul(scale(k, f[k]), g[n - k]))
-        g[n] = _div_exact(ring, acc, n)
+        g[n] = exact_div(ring, acc, n)
     return g
 
 
@@ -745,8 +757,9 @@ class RingDescriptor:
     Contract: ``adams(1, x) = x``; adams is additive; for all shipped rings it
     is separable (``adams(a, adams(b, x)) = adams(ab, x)``).
     ``exact_div_by_int`` returns None (not an exception) when no exact
-    quotient exists.  ``add``, ``neg``, ``mul`` and ``eq`` default to the
-    elements' Python operators.
+    quotient exists.  ``add``, ``neg``, ``mul``, ``eq`` and ``to_json``
+    default to the elements' own operators and method; ``adams`` defaults to
+    the trivial operation.
     """
 
     name = "abstract"
@@ -779,7 +792,8 @@ class RingDescriptor:
         return self.eq(x, self.zero())
 
     def adams(self, r, x):
-        raise NotImplementedError
+        self._check_r(r)
+        return x
 
     def exact_div_by_int(self, x, d):
         raise NotImplementedError
@@ -806,7 +820,7 @@ class RingDescriptor:
         return x
 
     def to_json(self, x):
-        raise NotImplementedError
+        return x.to_json()
 
     def from_json(self, obj):
         raise NotImplementedError
@@ -833,10 +847,6 @@ class IntegerRing(RingDescriptor):
     def from_int(self, n):
         return int(n)
 
-    def adams(self, r, x):
-        self._check_r(r)
-        return x
-
     def exact_div_by_int(self, x, d):
         q, r = divmod(x, d)
         return q if r == 0 else None
@@ -855,6 +865,9 @@ class IntegerRing(RingDescriptor):
         raise ValueError(f"integer JSON expected, got {obj!r}")
 
 
+ZZ = IntegerRing()
+
+
 class RationalRing(RingDescriptor):
     """Q with trivial Adams operations."""
 
@@ -869,10 +882,6 @@ class RationalRing(RingDescriptor):
     def from_int(self, n):
         return Fraction(n)
 
-    def adams(self, r, x):
-        self._check_r(r)
-        return x
-
     def exact_div_by_int(self, x, d):
         return Fraction(x) / d
 
@@ -881,9 +890,6 @@ class RationalRing(RingDescriptor):
 
     def from_json(self, obj):
         return parse_rational(obj)
-
-    def show(self, x):
-        return format_rational(x)
 
 
 QQ = RationalRing()
@@ -898,13 +904,11 @@ class PolyRing(RingDescriptor):
     integer fails unless every coefficient stays integral.
     """
 
-    def __init__(self, var="w", integral=False, frobenius=True, name=None):
+    def __init__(self, var="w", integral=False, frobenius=True):
         self.var = var
         self.integral = integral
         self.frobenius = frobenius
-        if name is None:
-            name = ("polyZ" if integral else "polyQ") + ("" if frobenius else "-trivial")
-        self.name = name
+        self.name = ("polyZ" if integral else "polyQ") + ("" if frobenius else "-trivial")
 
     def zero(self):
         return Poly({}, var=self.var)
@@ -946,9 +950,6 @@ class PolyRing(RingDescriptor):
             return None
         return x._new({e: c // d for e, c in x.coeffs.items()})
 
-    def to_json(self, x):
-        return x.to_json()
-
     def from_json(self, obj):
         p = Poly.from_json(obj, var=self.var)
         if self.integral and not p.is_integral():
@@ -983,17 +984,14 @@ class RationalFunctionRing(RingDescriptor):
     def exact_div_by_int(self, x, d):
         if d == 0:
             raise ZeroDivisionError("rational function division by zero")
-        return RatFunc(x.num._new(_over(x.num.coeffs.items(), d)), x.den, normalize=False)
-
-    def to_json(self, x):
-        return x.to_json()
+        return RatFunc._new(x.num._new(_over(x.num.coeffs.items(), d)), x.den)
 
     def from_json(self, obj):
         return RatFunc.from_json(obj)
 
 
 class PairRing(RingDescriptor):
-    """Componentwise product of two rings; default Z x Z with trivial Adams.
+    """Z x Z with trivial Adams operations, on pairs of ints.
 
     Z x Z models Z[l]/(l^2 - l) via l = (0, 1): a + b*l corresponds to
     (a, a + b).
@@ -1001,52 +999,36 @@ class PairRing(RingDescriptor):
 
     name = "pair"
 
-    def __init__(self, left=None, right=None):
-        self.left = left or IntegerRing()
-        self.right = right or IntegerRing()
-
     def zero(self):
-        return (self.left.zero(), self.right.zero())
+        return (0, 0)
 
     def one(self):
-        return (self.left.one(), self.right.one())
+        return (1, 1)
 
     def from_int(self, n):
-        return (self.left.from_int(n), self.right.from_int(n))
+        return (int(n), int(n))
 
     def add(self, x, y):
-        return (self.left.add(x[0], y[0]), self.right.add(x[1], y[1]))
+        return (x[0] + y[0], x[1] + y[1])
 
     def neg(self, x):
-        return (self.left.neg(x[0]), self.right.neg(x[1]))
+        return (-x[0], -x[1])
 
     def mul(self, x, y):
-        return (self.left.mul(x[0], y[0]), self.right.mul(x[1], y[1]))
-
-    def eq(self, x, y):
-        return self.left.eq(x[0], y[0]) and self.right.eq(x[1], y[1])
-
-    def adams(self, r, x):
-        self._check_r(r)
-        return (self.left.adams(r, x[0]), self.right.adams(r, x[1]))
+        return (x[0] * y[0], x[1] * y[1])
 
     def exact_div_by_int(self, x, d):
-        a = self.left.exact_div_by_int(x[0], d)
-        b = self.right.exact_div_by_int(x[1], d)
-        if a is None or b is None:
+        if x[0] % d or x[1] % d:
             return None
-        return (a, b)
+        return (x[0] // d, x[1] // d)
 
     def to_json(self, x):
-        return [self.left.to_json(x[0]), self.right.to_json(x[1])]
+        return list(x)
 
     def from_json(self, obj):
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
             raise ValueError("pair-ring JSON must be a two-element array")
-        return (self.left.from_json(obj[0]), self.right.from_json(obj[1]))
-
-    def show(self, x):
-        return f"({self.left.show(x[0])}, {self.right.show(x[1])})"
+        return (ZZ.from_json(obj[0]), ZZ.from_json(obj[1]))
 
 
 class WittRing(RingDescriptor):
@@ -1101,9 +1083,6 @@ class WittRing(RingDescriptor):
 
     def truncate(self, x, order):
         return x.truncate(order)
-
-    def to_json(self, x):
-        return x.to_json()
 
     def from_json(self, obj):
         return WittElement.from_json(obj)

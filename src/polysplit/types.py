@@ -242,14 +242,9 @@ def forget_neighbors(tau):
 
 
 def up_neighbors(tau):
-    """All elementary-move successors (merges and forgets), deduplicated."""
-    out = list(merge_neighbors(tau))
-    seen = set(out)
-    for t in forget_neighbors(tau):
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    """All elementary-move successors: a merge lowers the length by one and
+    a forget raises it by one, so the two lists never share a type."""
+    return merge_neighbors(tau) + forget_neighbors(tau)
 
 
 @lru_cache(maxsize=None)

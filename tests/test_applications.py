@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from polysplit import rings
+from polysplit import arrangements, rings
 from polysplit.applications import (
     _cyclotomic,
     _product_one_minus,
@@ -445,6 +445,57 @@ PINNED_SL_HASHES = {
 def test_sl_character_varieties_are_pinned(d, r):
     text = json.dumps([p.to_json() for p in sl_character_variety(d, r)], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SL_HASHES[d, r]
+
+
+# ---------------------------------------------------------------------------
+# bounded inputs
+
+
+# every bounded input at each end of its range, with the message the CLI
+# prints after "error: "
+OUT_OF_RANGE = [
+    (lambda: irr_hypersurface(0, 3), "dimension must be between 1 and 6"),
+    (lambda: irr_hypersurface(7, 3), "dimension must be between 1 and 6"),
+    (lambda: irr_hypersurface(2, 0), "degree must be between 1 and 8"),
+    (lambda: irr_hypersurface(2, 9), "degree must be between 1 and 8"),
+    (lambda: real_euler_factorization(0, 3), "dimension must be between 1 and 8"),
+    (lambda: real_euler_factorization(9, 3), "dimension must be between 1 and 8"),
+    (lambda: real_euler_factorization(2, 0), "order must be between 1 and 16"),
+    (lambda: real_euler_factorization(2, 17), "order must be between 1 and 16"),
+    (lambda: stratum_mass(parse_type("1^9"), 2), "stratum degree must be between 1 and 8"),
+    (lambda: stratum_mass(parse_type("1"), 0), "dimension must be between 1 and 4"),
+    (lambda: stratum_mass(parse_type("1"), 5), "dimension must be between 1 and 4"),
+    (lambda: transitive_tuples(0, 2), "letters must be between 1 and 12"),
+    (lambda: transitive_tuples(13, 2), "letters must be between 1 and 12"),
+    (lambda: transitive_tuples(3, 0), "rank must be between 1 and 6"),
+    (lambda: transitive_tuples(3, 7), "rank must be between 1 and 6"),
+    (lambda: transitive_oracle(0, 2), "oracle letters must be between 1 and 5"),
+    (lambda: transitive_oracle(6, 2), "oracle letters must be between 1 and 5"),
+    (lambda: transitive_oracle(3, 0), "oracle rank must be between 1 and 3"),
+    (lambda: transitive_oracle(3, 4), "oracle rank must be between 1 and 3"),
+    (lambda: sl_character_variety(0, 1), "degree must be between 1 and 5"),
+    (lambda: sl_character_variety(6, 1), "degree must be between 1 and 5"),
+    (lambda: sl_character_variety(2, 0), "rank must be between 1 and 4"),
+    (lambda: sl_character_variety(2, 5), "rank must be between 1 and 4"),
+    (lambda: mass_identity(0), "degree must be between 1 and 12"),
+    (lambda: mass_identity(13), "degree must be between 1 and 12"),
+    (lambda: arrangements.incidence_table(0, "a"), "table degree must be between 1 and 10"),
+    (lambda: arrangements.incidence_table(11, "a"), "table degree must be between 1 and 10"),
+    (lambda: arrangements.monoid_oracle(0, [1]), "oracle degree must be between 1 and 5"),
+    (lambda: arrangements.monoid_oracle(6, [1]), "oracle degree must be between 1 and 5"),
+]
+
+
+@pytest.mark.parametrize("call,message", OUT_OF_RANGE)
+def test_out_of_range_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_check_range_accepts_both_ends():
+    for value in (1, 5):
+        rings.check_range("degree", value, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from polysplit.rings import (
     MathCheckError,
     MPoly,
     MPolyRing,
+    PairRing,
     Poly,
     PolyRing,
     RatFunc,
@@ -141,6 +142,23 @@ def test_newton_poly_partition_formula():
                 coeff /= math.factorial(n)
             expected = expected + _hmono(m, mult).scale(coeff)
         assert newton_poly(m) == expected
+
+
+def _newton_poly_reference(m):
+    """The Newton recurrence written out on MPoly operators."""
+    powers = []
+    h = [MPoly.variable(m, i) for i in range(m)]
+    for k in range(1, m + 1):
+        p = h[k - 1].scale(k)
+        for i in range(1, k):
+            p = p - h[i - 1] * powers[k - i - 1]
+        powers.append(p)
+    return powers[m - 1]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_newton_poly_matches_the_mpoly_recurrence(m):
+    assert newton_poly(m) == _newton_poly_reference(m)
 
 
 def test_newton_poly_rejects_nonpositive():
@@ -357,6 +375,23 @@ def test_ratfunc_zeta_is_pinned():
     assert _sha256(xs) == "4663ce07d100bb013e8b2aa97c60dd94df5f16c515baaef68a0a62ab4c80fe5c"
     assert _sha256(invert_zeta(ring, us)) == \
         "ac5df1009f84ef384c17ece67d6fc7d3f3a29646b2df5b8fae1501050c9ae38e"
+    assert invert_zeta(ring, xs) == us
+
+
+def test_pair_zeta_is_pinned():
+    # recorded from the PairRing that dispatched to two IntegerRing halves
+    ring = PairRing()
+    rng = random.Random(2022)
+    us = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(40)]
+
+    def digest(values):
+        text = json.dumps([ring.to_json(v) for v in values])
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    xs = forward_zeta(ring, us)
+    assert digest(xs) == "c79737974c183e92214170b332ddc88683ad8bf27bdcd6f7b1f38b6ede070390"
+    assert digest(invert_zeta(ring, us)) == \
+        "b888a1b015a9c932ec0e0422ae373c8afa2683810280c88cfdc68d627077a3f9"
     assert invert_zeta(ring, xs) == us
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from polysplit.rings import (
     IntegerRing,
+    MathCheckError,
     MPoly,
     MPolyRing,
     PairRing,
@@ -266,6 +267,39 @@ def test_pair_ring_componentwise():
     assert ring.adams(5, (1, 2)) == (1, 2)
 
 
+def test_pair_ring_exact_division():
+    ring = PairRing()
+    assert ring.exact_div_by_int((6, -9), 3) == (2, -3)
+    assert ring.exact_div_by_int((6, 7), 3) is None
+    assert ring.exact_div_by_int((7, 6), 3) is None
+    with pytest.raises(ZeroDivisionError):
+        ring.exact_div_by_int((6, 9), 0)
+
+
+@pytest.mark.parametrize("obj", [
+    [True, 1], [1, False], ["1/2", 1], [1, "3/4"], [Fraction(1, 2), 1], [1.5, 1],
+    [1], [1, 2, 3], 5, "1", {"0": 1, "1": 2}, None,
+])
+def test_pair_ring_from_json_rejects(obj):
+    with pytest.raises(ValueError):
+        PairRing().from_json(obj)
+
+
+def test_pair_ring_from_json_reads_ints():
+    ring = PairRing()
+    assert ring.from_json([3, "-4"]) == (3, -4)
+    assert ring.from_json(ring.to_json((5, -6))) == (5, -6)
+
+
+def test_failed_series_division_is_a_math_check():
+    # log(1 + t) = t - t^2/2 + ...: the t^2 coefficient is not an integer
+    series = TruncatedSeries(IntegerRing(), [1, 1, 0])
+    with pytest.raises(MathCheckError) as info:
+        series.log()
+    assert str(info.value) == "exact division by 2 failed"
+    assert isinstance(info.value, ValueError)
+
+
 def test_poly_ring_frobenius_adams():
     ring = PolyRing()
     w = ring.variable()
@@ -286,9 +320,10 @@ def test_ring_from_token_rejects_unknown():
 
 
 def test_adams_rejects_nonpositive():
-    ring = IntegerRing()
-    with pytest.raises(ValueError):
-        ring.adams(0, 1)
+    for token in RING_TOKENS:
+        ring = ring_from_token(token)
+        with pytest.raises(ValueError):
+            ring.adams(0, ring.one())
 
 
 # ---------------------------------------------------------------------------

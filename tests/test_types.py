@@ -19,6 +19,7 @@ from polysplit.types import (
     parse_type,
     partition_centralizer_order,
     reachability_order,
+    up_neighbors,
 )
 
 
@@ -156,6 +157,13 @@ def test_canonical_order_extends_degree_4_covers():
 
 # ---------------------------------------------------------------------------
 # elementary moves and the reachability order
+
+
+def test_up_neighbors_have_no_duplicates():
+    for d in range(1, 11):
+        for tau in enumerate_types(d):
+            neighbors = up_neighbors(tau)
+            assert len(set(neighbors)) == len(neighbors), tau
 
 
 def test_merge_neighbors():
