@@ -96,13 +96,14 @@ def irr_hypersurface(n, d, measure="motive", q=None):
     dimension C(n + k, k) - 1; inverting that sequence isolates the
     irreducible locus.  The available measures:
 
-    * ``motive``:    class in Z[w] with Frobenius Adams operations; the
+    * ``motive``:    class in Z[w] with Frobenius Adams operations of the
+                     geometrically irreducible hypersurfaces; the
                      inversion is checked to stay integral.
     * ``epoly``:     the same coefficients read as a polynomial in uv.
-    * ``count``:     weighted count over a field with q elements, a
-                     polynomial in q with (possibly) fractional
-                     coefficients; passing ``q`` evaluates it exactly and
-                     checks the result is an integer.
+    * ``count``:     number of hypersurfaces irreducible over a field with
+                     q elements (trivial Adams operations), a polynomial
+                     in q with (possibly) fractional coefficients; passing
+                     ``q`` evaluates it exactly and checks it is an integer.
     * ``euler``:     integer Euler characteristic.
     * ``rcc``:       pair (point measure, Euler measure) in Z x Z.
     * ``realeuler``: Euler measure of the real locus; the sequence is

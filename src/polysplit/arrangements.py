@@ -310,6 +310,18 @@ class IncidenceTable:
                 raise ValueError("table contains a type of the wrong degree")
         return cls(degree, tag, types, entries)
 
+    def inverse(self, tag):
+        """The inverse table, tagged ``tag``.  The table must be integral;
+        the inverse is computed over Z[1/d!] for d the degree, or over Z
+        for the Mobius function, which inverts the order.  A non-integral
+        entry, or an inverse entry outside that ring, raises MathCheckError."""
+        rows = [[int(x) for x in row] for row in self.entries]
+        if rows != self.entries:
+            raise MathCheckError("table entry outside Z", {"degree": self.degree, "tag": self.tag})
+        scale = 1 if tag == "mobius" else math.factorial(self.degree)
+        inv = _invert_triangular(rows, scale, {"degree": self.degree, "tag": tag})
+        return IncidenceTable(self.degree, tag, self.types, _fractions(inv, scale))
+
 
 def _walk_rows(types, squarefree, first=False):
     """The int table of arrangement counts (with ``first``, of the order)
@@ -362,10 +374,11 @@ def _fractions(rows, scale=1):
 def _compute_table(d, tag):
     types = enumerate_types(d)
     rows = _walk_rows(types, tag in ("e", "e_inv"), first=tag == "mobius")
-    scale = math.factorial(d) if tag in ("a_inv", "e_inv") else 1
-    if tag not in ("a", "e"):
-        rows = _invert_triangular(rows, scale, {"degree": d, "tag": tag})
-    return IncidenceTable(d, tag, types, _fractions(rows, scale))
+    if tag in ("a", "e"):
+        return IncidenceTable(d, tag, types, _fractions(rows))
+    # the inverse tables invert the walk of a, of e, or of the order
+    forward = {"a_inv": "a", "e_inv": "e", "mobius": "order"}[tag]
+    return IncidenceTable(d, forward, types, rows).inverse(tag)
 
 
 def poset(d):

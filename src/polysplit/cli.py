@@ -221,7 +221,8 @@ def zeta_cmd(direction, token, path, upto):
 @click.option("--q", "q", type=int, default=None)
 @click.option("--stratum", "stratum_text", default=None)
 def hyper_cmd(dim, degree, measure, q, stratum_text):
-    """Measures of the irreducible-hypersurface strata."""
+    """Measures of the irreducible hypersurfaces: geometrically irreducible
+    for motive and epoly, irreducible over F_q for count."""
     if measure == "stratum-mass":
         if stratum_text is None:
             raise ValueError("--measure stratum-mass needs --stratum")

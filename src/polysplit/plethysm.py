@@ -15,9 +15,10 @@ Both directions divide by d exactly and raise MathCheckError when the
 division does not land back in the ring.
 
 The same machinery evaluates polysymmetric elements on a sequence
-(generic plethysm), produces virtual stratum classes through the inverse
-arrangement tables, and handles multinomial classes of configuration
-spaces and power-free loci.
+(generic plethysm: the element in the H basis, with H_tau sent to the
+closed stratum S_tau).  The virtual stratum U'_lam is the plethysm of the
+monomial element M_lam.  Multinomial classes of configuration spaces and
+power-free loci close the module.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arrangements import incidence_table
-from .polysym import convert
+from .polysym import convert, monomial_element
 from .rings import (
     MPolyRing,
     RING_TOKENS,
@@ -154,27 +154,19 @@ def stratum_closed(ring, xs, tau):
     return total
 
 
+def _evaluate_h(ring, xs, element, context):
+    """The element rewritten in the H basis, with each H_tau evaluated to
+    the closed stratum S_tau."""
+    pairs = [(coeff, stratum_closed(ring, xs, tau))
+             for tau, coeff in convert(element, "H").terms.items()]
+    return _rational_combination(ring, pairs, context)
+
+
 def virtual_stratum(ring, xs, lam):
-    """U'_lam: inverse-table combination of the closed strata below lam."""
-    table = incidence_table(lam.degree(), "a_inv")
-    pairs = []
-    for tau in table.types:
-        coeff = table.value(tau, lam)
-        if coeff:
-            pairs.append((coeff, stratum_closed(ring, xs, tau)))
-    return _rational_combination(ring, pairs,
-                                 {"type": lam.label(), "op": "virtual_stratum"})
-
-
-def stratum_from_virtual(ring, xs, lam):
-    """X'_lam: arrangement-table combination of the virtual strata below."""
-    table = incidence_table(lam.degree(), "a")
-    terms = []
-    for tau in table.types:
-        coeff = table.value(tau, lam)
-        if coeff:
-            terms.append(ring.scalar_mul_int(int(coeff), virtual_stratum(ring, xs, tau)))
-    return ring.sum(terms)
+    """U'_lam: the plethysm of the monomial element M_lam, a combination of
+    the closed strata below lam through the inverse arrangement table."""
+    return _evaluate_h(ring, xs, monomial_element(lam),
+                       {"type": lam.label(), "op": "virtual_stratum"})
 
 
 def generic_plethysm(ring, xs, element):
@@ -183,11 +175,7 @@ def generic_plethysm(ring, xs, element):
     The element is rewritten in the H basis, whose basis vector at a type
     tau evaluates to the product over the parts (b, m) of psi_m(x_b).
     """
-    coords = convert(element, "H").terms
-    pairs = []
-    for tau, coeff in coords.items():
-        pairs.append((coeff, stratum_closed(ring, xs, tau)))
-    return _rational_combination(ring, pairs, {"op": "generic_plethysm"})
+    return _evaluate_h(ring, xs, element, {"op": "generic_plethysm"})
 
 
 # ---------------------------------------------------------------------------

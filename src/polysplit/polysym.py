@@ -21,19 +21,11 @@ k * M of the single part (k, b/k).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arrangements import (
-    MAX_TABLE_DEGREE,
-    IncidenceTable,
-    _fractions,
-    _invert_triangular,
-    incidence_table,
-)
+from .arrangements import MAX_TABLE_DEGREE, IncidenceTable, incidence_table
 from .rings import (
-    MathCheckError,
     RingDescriptor,
     add_terms,
     divisors,
@@ -177,7 +169,7 @@ def _apply(table, coords):
 def _single_in_h(basis, b):
     """E_b or P_b (basis "E" or "P") in H coordinates, as a tuple of items."""
     element = elementary_element(b) if basis == "E" else power_basis(b)
-    return tuple(_apply(incidence_table(b, "a_inv"), element.terms).items())
+    return tuple(convert(element, "H").terms.items())
 
 
 @lru_cache(maxsize=None)
@@ -185,15 +177,9 @@ def _basis_table(basis, d, inverse):
     """The degree-d transition table from E or P to H, whose column lam is
     the basis vector lam in H coordinates, or its inverse.  In canonical
     order both are upper-triangular with a nonzero diagonal."""
-    types = list(enumerate_types(d))
     if inverse:
-        entries = _basis_table(basis, d, False).entries
-        rows = [[int(x) for x in row] for row in entries]
-        if rows != entries:
-            raise MathCheckError("basis table entry outside Z", {"degree": d, "tag": basis})
-        scale = math.factorial(d)
-        return IncidenceTable(d, basis + "_inv", types, _fractions(
-            _invert_triangular(rows, scale, {"degree": d, "tag": basis + "_inv"}), scale))
+        return _basis_table(basis, d, False).inverse(basis + "_inv")
+    types = list(enumerate_types(d))
     columns = []
     for lam in types:
         # the product over the parts (b, m) of lam of psi_m(E_b) or psi_m(P_b)

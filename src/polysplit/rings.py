@@ -68,21 +68,6 @@ def moebius(n):
     return result
 
 
-def prime_omega(n):
-    """Number of distinct prime factors of n."""
-    count = 0
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            count += 1
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        count += 1
-    return count
-
-
 def partitions(m):
     """Yield all partitions of m as multiplicity tuples (n_1, ..., n_m).
 
@@ -129,13 +114,6 @@ def check_range(what, value, cap):
     """Reject an input outside 1 .. cap with "<what> must be between 1 and cap"."""
     if not 1 <= value <= cap:
         raise ValueError("%s must be between 1 and %d" % (what, cap))
-
-
-def binomial(n, k):
-    """Ordinary binomial coefficient for integer n >= 0."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------

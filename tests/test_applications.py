@@ -159,6 +159,29 @@ def test_epoly_is_the_motive_in_uv():
     assert epoly.coeffs == motive.coeffs
 
 
+@pytest.mark.parametrize("n, top", [(1, 6), (2, 6), (3, 6), (4, 5), (6, 8)])
+def test_necklace_relation_turns_count_into_motive(n, top):
+    # A hypersurface irreducible over F_q but not geometrically irreducible
+    # is an orbit of e > 1 conjugate geometrically irreducible components of
+    # degree d/e, each defined over F_(q^e) and over no smaller field:
+    #   G_d = I_d - sum over e | d, e > 1 of
+    #         (1/e) sum over f | e of mu(e/f) * G_(d/e)(q^f)
+    motives = {}
+    for d in range(1, top + 1):
+        count = irr_hypersurface(n, d, "count")
+        g = Poly(dict(count.coeffs), var="w")
+        for e in divisors(d)[1:]:
+            orbits = Poly({}, var="w")
+            for f in divisors(e):
+                orbits = orbits + motives[d // e].substitute_power(f).scale(moebius(e // f))
+            g = g - orbits.scale(Fraction(1, e))
+        motives[d] = g
+        assert g == irr_hypersurface(n, d, "motive"), (n, d)
+    if n == 2:
+        # the smooth conics
+        assert motives[2] == Poly({5: 1, 2: -1}, var="w")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_euler_measure_degenerates(n):
     assert irr_hypersurface(n, 1, "euler") == n

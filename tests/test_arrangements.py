@@ -3,13 +3,14 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from polysplit.rings import MathCheckError, divisors, moebius, binomial
+from polysplit.rings import MathCheckError, divisors, moebius
 from polysplit.types import SplittingType, enumerate_types, parse_type
 from polysplit import arrangements as arr
 
@@ -316,7 +317,6 @@ def test_mobius_vanishes_on_ramified_top():
 
 
 def test_inverse_entries_lie_in_z_over_d_factorial():
-    import math
     for d in range(2, 8):
         inv = arr.incidence_table(d, "a_inv")
         scale = math.factorial(d)
@@ -332,6 +332,30 @@ def test_integer_inverter_rejects_an_entry_outside_z_over_scale():
     assert arr._invert_triangular([[1, 2], [0, 3]], 6, {}) == [[6, -4], [0, 2]]
     inv = arr.incidence_table(6, "a_inv", use_cache=False)
     assert all(type(x) is Fraction for row in inv.entries for x in row)
+
+
+def test_table_inverse_guards():
+    types = enumerate_types(2)
+    halves = arr.IncidenceTable(2, "E", types, [[1, Fraction(1, 2), 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(MathCheckError, match="table entry outside Z") as info:
+        halves.inverse("E_inv")
+    assert info.value.detail == {"degree": 2, "tag": "E"}
+    sevens = arr.IncidenceTable(2, "a", types, [[1, 0, 0], [0, 7, 0], [0, 0, 1]])
+    with pytest.raises(MathCheckError, match=r"outside Z\[1/d!\]") as info:
+        sevens.inverse("a_inv")
+    assert info.value.detail["tag"] == "a_inv"
+    # Z[1/2!] holds 1/2, but the Mobius function is inverted over Z
+    twos = arr.IncidenceTable(2, "order", types, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
+    assert twos.inverse("a_inv").entries[1][1] == Fraction(1, 2)
+    with pytest.raises(MathCheckError, match="outside"):
+        twos.inverse("mobius")
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_inverse_of_the_forward_table_is_the_inverse_table(d):
+    for tag in ("a", "e"):
+        inverse = arr.incidence_table(d, tag).inverse(tag + "_inv")
+        assert inverse.to_json() == arr.incidence_table(d, tag + "_inv").to_json()
 
 
 # SHA-256 of json.dumps(incidence_table(8, tag).to_json(), sort_keys=True),
@@ -398,7 +422,7 @@ def test_top_column_sum_identities():
         for k in range(1, d + 1):
             got = sum(value for t, value in column.items() if t.length() == k)
             want = Fraction((-1) ** (k + 1), d) * sum(
-                moebius(d // e) * binomial(e, k) for e in divisors(d))
+                moebius(d // e) * math.comb(e, k) for e in divisors(d))
             assert got == want, (d, k)
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polysplit.arrangements import count_arrangements, incidence_table
 from polysplit.plethysm import (
     MeasureSequence,
     binomial_strata,
@@ -27,7 +28,6 @@ from polysplit.plethysm import (
     newton_poly,
     powerfree,
     stratum_closed,
-    stratum_from_virtual,
     symbolic_inverse,
     virtual_stratum,
 )
@@ -338,6 +338,10 @@ def test_inversion_integrality_failure_is_flagged():
     assert info.value.detail["degree"] == 2
     with pytest.raises(MathCheckError):
         forward_zeta(ring, [w, ring.zero()])
+    # U'_(1 1) = (x_1^2 - psi_2(x_1)) / 2 = (w^2 - w) / 2
+    with pytest.raises(MathCheckError) as info:
+        virtual_stratum(ring, [w, ring.zero()], _type("1 1"))
+    assert info.value.detail == {"type": "(1 1)", "op": "virtual_stratum"}
 
 
 @settings(max_examples=40, deadline=None)
@@ -467,11 +471,15 @@ def test_top_virtual_stratum_matches_inversion_over_z():
 
 
 def test_virtual_strata_reconstruct_closed_strata():
+    # sum over tau of a(tau, lam) * U'_tau is S_lam, since a * a_inv = I
     ring = MPolyRing(4, adams_mode="monomial")
     xs = [ring.variable(i) for i in range(4)]
     for d in range(1, 5):
+        table = incidence_table(d, "a")
         for lam in enumerate_types(d):
-            lhs = stratum_from_virtual(ring, xs, lam)
+            lhs = ring.sum(ring.scalar_mul_int(int(table.value(tau, lam)),
+                                               virtual_stratum(ring, xs, tau))
+                           for tau in table.types if table.value(tau, lam))
             assert ring.eq(lhs, stratum_closed(ring, xs, lam))
 
 
@@ -644,6 +652,87 @@ def test_binomial_strata_spot_value():
     assert binomial_strata(ring, us, _type("1 1")) == 10
     # one part of degree 1 and multiplicity 2: binom(u_1; 0, 1) = u_1
     assert binomial_strata(ring, us, _type("1^2")) == 5
+
+
+# ---------------------------------------------------------------------------
+# strata against polynomial arithmetic over F_p
+
+
+def _mul_mod(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def _monics(p, k):
+    """Monic degree-k polynomials over F_p, as coefficient tuples from the
+    constant term up."""
+    return [low + (1,) for low in itertools.product(range(p), repeat=k)]
+
+
+def _type_counts(p, d):
+    """Number of monic degree-d polynomials over F_p of each splitting type.
+
+    The monic irreducibles come from a sieve (every product of two monics of
+    lower degree is reducible); the factorizations are the multisets of
+    (irreducible, multiplicity), tallied by the type of their
+    (degree, multiplicity) pairs."""
+    irreducibles = []
+    for k in range(1, d + 1):
+        reducible = {_mul_mod(f, g, p) for i in range(1, k // 2 + 1)
+                     for f in _monics(p, i) for g in _monics(p, k - i)}
+        irreducibles += [k for f in _monics(p, k) if f not in reducible]
+    counts = {}
+
+    def extend(start, remaining, parts):
+        if remaining == 0:
+            tau = SplittingType(parts)
+            counts[tau] = counts.get(tau, 0) + 1
+            return
+        for i in range(start, len(irreducibles)):
+            b = irreducibles[i]
+            for m in range(1, remaining // b + 1):
+                extend(i + 1, remaining - b * m, parts + [(b, m)])
+
+    extend(0, d, [])
+    assert sum(counts.values()) == p ** d
+    return counts
+
+
+@pytest.mark.parametrize("p, d", [(2, 3), (3, 3), (5, 3), (3, 4), (2, 5), (2, 7)])
+def test_open_strata_count_polynomials_over_f_p(p, d):
+    ring = IntegerRing()
+    xs = [p ** k for k in range(1, d + 1)]
+    us = invert_zeta(ring, xs)
+    counts = _type_counts(p, d)
+    for tau in enumerate_types(d):
+        assert virtual_stratum(ring, xs, tau) == counts.get(tau, 0), tau.label()
+        assert binomial_strata(ring, us, tau) == counts.get(tau, 0), tau.label()
+
+
+@pytest.mark.parametrize("p, d", [(2, 5), (3, 4)])
+def test_closed_strata_count_polynomials_over_f_p(p, d):
+    xs = [p ** k for k in range(1, d + 1)]
+    counts = _type_counts(p, d)
+    for lam in enumerate_types(d):
+        expected = sum(count_arrangements(tau, lam) * n for tau, n in counts.items())
+        assert stratum_closed(IntegerRing(), xs, lam) == expected, lam.label()
+
+
+@pytest.mark.parametrize("p, d", [(2, 3), (3, 3), (2, 4)])
+def test_weighted_strata_count_polynomials_over_f_p(p, d):
+    # every point of A^1 in weight 2: x_(2j) = p^j and x_k = 0 at odd k, so a
+    # degree-2d stratum counts the degree-d polynomials of the halved type
+    xs = [p ** (k // 2) if k % 2 == 0 else 0 for k in range(1, 2 * d + 1)]
+    counts = _type_counts(p, d)
+    for tau in enumerate_types(2 * d):
+        if any(b % 2 for b, _m in tau.parts):
+            expected = 0
+        else:
+            expected = counts.get(SplittingType([(b // 2, m) for b, m in tau.parts]), 0)
+        assert virtual_stratum(IntegerRing(), xs, tau) == expected, tau.label()
 
 
 # ---------------------------------------------------------------------------

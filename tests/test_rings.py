@@ -24,7 +24,6 @@ from polysplit.rings import (
     WittElement,
     WittRing,
     add_terms,
-    binomial,
     divisors,
     moebius,
     parse_rational,
@@ -37,7 +36,6 @@ from polysplit.rings import (
     _int_gcd,
     _pseudo_divmod,
     packed_mul,
-    prime_omega,
     ring_from_token,
     RING_TOKENS,
     QQ,
@@ -69,10 +67,6 @@ def test_moebius_dirichlet_identity():
         assert sum(moebius(d) for d in divisors(n)) == 0
 
 
-def test_prime_omega():
-    assert [prime_omega(n) for n in (1, 2, 6, 8, 30, 36)] == [0, 1, 2, 1, 3, 2]
-
-
 def test_partitions_counts():
     # partition numbers p(0)..p(10)
     counts = [sum(1 for _ in partitions(m)) for m in range(11)]
@@ -91,13 +85,6 @@ def test_partition_count_bounded():
     assert partition_count_bounded(0, 5) == 1
     assert partition_count_bounded(5, 0) == 0
     assert partition_count_bounded(6, 6) == 11
-
-
-def test_binomial():
-    assert binomial(5, 2) == 10
-    assert binomial(5, 0) == 1
-    assert binomial(4, 7) == 0
-    assert binomial(-1, 2) == 0
 
 
 def test_rational_round_trip():
