@@ -42,11 +42,11 @@ from .rings import (
     RationalFunctionRing,
     check_range,
     divisors,
+    from_power_sums,
     moebius,
     partition_count_bounded,
     partitions,
     poly_divmod,
-    ser_exp,
 )
 from .types import (
     SplittingType,
@@ -438,12 +438,13 @@ def _row_pentagonal(upto=15):
 
 
 def _row_artin_hasse(p, upto=12):
-    exponent = [Fraction(0)] * (upto + 1)
+    # exp(sum over j of t^(p^j) / p^j): its power sums are 1 at the powers of p
+    ps = [QQ.zero()] * upto
     power = 1
     while power <= upto:
-        exponent[power] = Fraction(1, power)
+        ps[power - 1] = QQ.one()
         power *= p
-    xs = ser_exp(QQ, exponent, upto)[1:]
+    xs = from_power_sums(QQ, ps, upto)
     return _check_factorization(
         "artin-hasse-%d" % p, QQ, xs,
         lambda d: Fraction(0) if d % p == 0 else Fraction(moebius(d), d), upto)

@@ -11,8 +11,10 @@ of x_1 ... x_m.  The forward direction rebuilds the x's from the u's via
     d * x_d = sum over i = 1..d of P_i * x_(d-i),
     P_i = sum over k | i of k * psi_(i/k)(u_k).
 
-Both directions divide by d exactly and raise MathCheckError when the
-division does not land back in the ring.
+Both recurrences are Newton's identity, the series kernel
+``rings.power_sums`` / ``rings.from_power_sums``.  Both directions divide
+by d exactly and raise MathCheckError when the division does not land back
+in the ring.
 
 The same machinery evaluates polysymmetric elements on a sequence
 (generic plethysm: the element in the H basis, with H_tau sent to the
@@ -30,11 +32,18 @@ from .polysym import convert, monomial_element
 from .rings import (
     MPolyRing,
     RING_TOKENS,
+    check_range,
     divisors,
     exact_div,
+    from_power_sums,
     moebius,
+    power_sums,
     ring_from_token,
 )
+
+# every 5 degrees u_d gets about 3x the terms and 4x the time: 5,846 terms
+# and 0.7 s at d = 30 on one core of a 2-vCPU host
+MAX_SYMBOLIC_DEGREE = 30
 
 
 # ---------------------------------------------------------------------------
@@ -65,18 +74,7 @@ def newton_poly(m):
     if m < 1:
         raise ValueError("Newton polynomials are indexed from 1")
     ring = MPolyRing(m)
-    return _newton_values(ring, [ring.variable(i) for i in range(m)], m)[m]
-
-
-def _newton_values(ring, xs, upto):
-    """P_1 ... P_upto evaluated on ring elements by the same recurrence."""
-    powers = [None]
-    for k in range(1, upto + 1):
-        p = ring.scalar_mul_int(k, xs[k - 1])
-        for i in range(1, k):
-            p = ring.sub(p, ring.mul(xs[i - 1], powers[k - i]))
-        powers.append(p)
-    return powers
+    return power_sums(ring, [ring.variable(i) for i in range(m)], m)[m - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +93,14 @@ def invert_zeta(ring, values, upto=None):
     if not 1 <= upto <= len(xs):
         raise ValueError("need x_1..x_%d to invert up to degree %d"
                          % (upto, upto))
-    powers = _newton_values(ring, xs, upto)
+    powers = power_sums(ring, xs, upto)
     us = []
     for d in range(1, upto + 1):
         terms = []
         for m in divisors(d):
             mu = moebius(d // m)
             if mu:
-                terms.append(ring.scalar_mul_int(mu, ring.adams(d // m, powers[m])))
+                terms.append(ring.scalar_mul_int(mu, ring.adams(d // m, powers[m - 1])))
         total = ring.sum(terms)
         us.append(exact_div(ring, total, d, {"degree": d, "direction": "invert"}))
     return us
@@ -116,24 +114,16 @@ def forward_zeta(ring, values, upto=None):
     if not 1 <= upto <= len(us):
         raise ValueError("need u_1..u_%d to expand up to degree %d"
                          % (upto, upto))
-    big_p = [None]
-    for i in range(1, upto + 1):
-        terms = [ring.scalar_mul_int(k, ring.adams(i // k, us[k - 1]))
-                 for k in divisors(i)]
-        big_p.append(ring.sum(terms))
-    xs = [ring.one()]
-    for d in range(1, upto + 1):
-        total = ring.sum(ring.mul(big_p[i], xs[d - i]) for i in range(1, d + 1))
-        xs.append(exact_div(ring, total, d,
-                            {"degree": d, "direction": "forward"}))
-    return xs[1:]
+    big_p = [ring.sum(ring.scalar_mul_int(k, ring.adams(i // k, us[k - 1]))
+                      for k in divisors(i))
+             for i in range(1, upto + 1)]
+    return from_power_sums(ring, big_p, upto, "forward")
 
 
 def symbolic_inverse(d):
     """u_1 ... u_d as polynomials in indeterminates x_1 ... x_d with all
     Adams operations trivial."""
-    if d < 1:
-        raise ValueError("degree must be positive")
+    check_range("symbolic degree", d, MAX_SYMBOLIC_DEGREE)
     names = tuple("x_%d" % k for k in range(1, d + 1))
     ring = MPolyRing(d, adams_mode="trivial", names=names)
     xs = [ring.variable(i) for i in range(d)]

@@ -26,7 +26,6 @@ from functools import lru_cache
 
 from .arrangements import MAX_TABLE_DEGREE, IncidenceTable, incidence_table
 from .rings import (
-    RingDescriptor,
     add_terms,
     divisors,
     format_rational,
@@ -277,46 +276,6 @@ def hilbert_series(order):
     if not 0 <= order <= MAX_HILBERT_ORDER:
         raise ValueError("order must be between 0 and %d" % MAX_HILBERT_ORDER)
     return hilbert_type_counts(order)
-
-
-# ---------------------------------------------------------------------------
-# the ring descriptor, mostly for series identities in the test suite
-
-
-class PolysymRing(RingDescriptor):
-    """Polysymmetric elements in the H basis as a descriptor ring."""
-
-    name = "polysym"
-
-    def zero(self):
-        return PolysymElement.zero("H")
-
-    def one(self):
-        return PolysymElement.monomial("H", _H_ONE_TYPE)
-
-    def from_int(self, n):
-        return PolysymElement.monomial("H", _H_ONE_TYPE, n)
-
-    def mul(self, x, y):
-        return PolysymElement("H", _h_mul(x.terms, y.terms))
-
-    def adams(self, r, x):
-        self._check_r(r)
-        return PolysymElement("H", _h_adams(r, x.terms))
-
-    def exact_div_by_int(self, x, d):
-        if d == 0:
-            raise ZeroDivisionError
-        return x.scale(Fraction(1, d))
-
-    def from_json(self, obj):
-        element = PolysymElement.from_json(obj)
-        if element.basis != "H":
-            raise ValueError("expected an element in the H basis")
-        return element
-
-    def show(self, x):
-        return x.show()
 
 
 def complete_element(tau):

@@ -580,8 +580,14 @@ class RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# series kernels over a ring descriptor (shared by the Witt ring and
-# TruncatedSeries); a series is the list of its coefficients up to ``order``
+# series kernels over a ring descriptor; a series is the list of its
+# coefficients up to ``order``.  Newton's identity between the coefficients
+# x_1, x_2, ... of 1 + sum x_k t^k and its power sums
+# P_n = n [t^n] log(1 + sum x_k t^k),
+#
+#     n * x_n = sum over i = 1..n of P_i * x_(n-i),    x_0 = 1,
+#
+# is the one kernel behind zeta inversion, Witt coordinates, log and exp.
 
 
 def exact_div(ring, x, d, detail=None):
@@ -590,6 +596,30 @@ def exact_div(ring, x, d, detail=None):
     if result is None:
         raise MathCheckError("exact division by %d failed" % d, detail)
     return result
+
+
+def power_sums(ring, xs, upto):
+    """[P_1, ..., P_upto] from x_1 ... x_upto, without a division:
+    P_n = n * x_n - sum over i = 1..n-1 of x_i * P_(n-i)."""
+    ps = []
+    for n in range(1, upto + 1):
+        p = ring.scalar_mul_int(n, xs[n - 1])
+        for i in range(1, n):
+            p = ring.sub(p, ring.mul(xs[i - 1], ps[n - i - 1]))
+        ps.append(p)
+    return ps
+
+
+def from_power_sums(ring, ps, upto, direction=None):
+    """[x_1, ..., x_upto] from P_1 ... P_upto, dividing each n * x_n by n
+    exactly; a failure carries {"degree": n, "direction": direction} when a
+    direction is given."""
+    xs = [ring.one()]
+    for n in range(1, upto + 1):
+        total = ring.sum(ring.mul(ps[i - 1], xs[n - i]) for i in range(1, n + 1))
+        detail = None if direction is None else {"degree": n, "direction": direction}
+        xs.append(exact_div(ring, total, n, detail))
+    return xs[1:]
 
 
 def ser_mul(ring, a, b, order):
@@ -617,30 +647,19 @@ def ser_inv(ring, f, order):
 
 
 def ser_log(ring, f, order):
-    add, mul, scale, zero = ring.add, ring.mul, ring.scalar_mul_int, ring.zero()
+    """log f for f[0] = 1: its t^n coefficient is P_n / n."""
     if not ring.eq(f[0], ring.one()):
         raise ValueError("series log requires constant term 1")
-    g = [zero] * (order + 1)
-    for n in range(1, order + 1):
-        acc = zero
-        for k in range(1, n):
-            acc = add(acc, mul(scale(k, g[k]), f[n - k]))
-        g[n] = ring.sub(f[n], exact_div(ring, acc, n))
-    return g
+    ps = power_sums(ring, f[1:], order)
+    return [ring.zero()] + [exact_div(ring, p, n) for n, p in enumerate(ps, start=1)]
 
 
 def ser_exp(ring, f, order):
-    add, mul, scale, zero, one = (ring.add, ring.mul, ring.scalar_mul_int,
-                                  ring.zero(), ring.one())
-    if not ring.eq(f[0], zero):
+    """exp f for f[0] = 0: the series whose power sums are n * f[n]."""
+    if not ring.eq(f[0], ring.zero()):
         raise ValueError("series exp requires constant term 0")
-    g = [one] + [zero] * order
-    for n in range(1, order + 1):
-        acc = zero
-        for k in range(1, n + 1):
-            acc = add(acc, mul(scale(k, f[k]), g[n - k]))
-        g[n] = exact_div(ring, acc, n)
-    return g
+    ps = [ring.scalar_mul_int(n, f[n]) for n in range(1, order + 1)]
+    return [ring.one()] + from_power_sums(ring, ps, order)
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +669,11 @@ def ser_exp(ring, f, order):
 class WittElement:
     """A truncated big Witt vector over Q: a series 1 + a_1 t + ... + a_N t^N.
 
-    The element is stored by its ghost coordinates g_1..g_N, defined by
-    log f = sum g_i t^i / i.  The ghost map is a ring isomorphism from W_N(Q)
-    onto Q^N, so Witt addition (series multiplication) and Witt
-    multiplication are both componentwise on ghosts; the coefficients a_k
-    are computed only when asked for.
+    The element is stored by its ghost coordinates g_1..g_N, the power sums
+    of its coefficients (log f = sum g_i t^i / i).  The ghost map is a ring
+    isomorphism from W_N(Q) onto Q^N, so Witt addition (series
+    multiplication) and Witt multiplication are both componentwise on
+    ghosts; the coefficients a_k are computed only when asked for.
     """
 
     __slots__ = ("ghosts",)
@@ -666,8 +685,7 @@ class WittElement:
                 "Witt element must have constant term 1",
                 {"constant_term": str(coeffs[0]) if coeffs else None},
             )
-        logs = ser_log(QQ, coeffs, len(coeffs) - 1)
-        self.ghosts = [i * logs[i] for i in range(1, len(coeffs))]
+        self.ghosts = power_sums(QQ, coeffs[1:], len(coeffs) - 1)
 
     @classmethod
     def from_ghost(cls, ghosts):
@@ -682,8 +700,7 @@ class WittElement:
     @property
     def coeffs(self):
         """Series coefficients [1, a_1, ..., a_N]: the exp of sum g_i t^i / i."""
-        logs = [Fraction(0)] + [g / i for i, g in enumerate(self.ghosts, start=1)]
-        return ser_exp(QQ, logs, self.order)
+        return [Fraction(1)] + from_power_sums(QQ, self.ghosts, self.order)
 
     @classmethod
     def geometric(cls, a, order):
@@ -743,10 +760,10 @@ class RingDescriptor:
     name = "abstract"
 
     def zero(self):
-        raise NotImplementedError
+        return self.from_int(0)
 
     def one(self):
-        raise NotImplementedError
+        return self.from_int(1)
 
     def from_int(self, n):
         raise NotImplementedError
@@ -816,12 +833,6 @@ class IntegerRing(RingDescriptor):
 
     name = "Z"
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, n):
         return int(n)
 
@@ -850,12 +861,6 @@ class RationalRing(RingDescriptor):
     """Q with trivial Adams operations."""
 
     name = "Q"
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
@@ -887,12 +892,6 @@ class PolyRing(RingDescriptor):
         self.integral = integral
         self.frobenius = frobenius
         self.name = ("polyZ" if integral else "polyQ") + ("" if frobenius else "-trivial")
-
-    def zero(self):
-        return Poly({}, var=self.var)
-
-    def one(self):
-        return Poly.const(1, var=self.var)
 
     def variable(self):
         return Poly.variable(var=self.var)
@@ -943,12 +942,6 @@ class RationalFunctionRing(RingDescriptor):
     def __init__(self, var="w"):
         self.var = var
 
-    def zero(self):
-        return RatFunc.from_poly(Poly({}, var=self.var))
-
-    def one(self):
-        return RatFunc.from_poly(Poly.const(1, var=self.var))
-
     def variable(self):
         return RatFunc.from_poly(Poly.variable(var=self.var))
 
@@ -976,12 +969,6 @@ class PairRing(RingDescriptor):
     """
 
     name = "pair"
-
-    def zero(self):
-        return (0, 0)
-
-    def one(self):
-        return (1, 1)
 
     def from_int(self, n):
         return (int(n), int(n))
@@ -1025,12 +1012,6 @@ class WittRing(RingDescriptor):
         if order < 0:
             raise ValueError("Witt truncation order must be >= 0")
         self.order = order
-
-    def zero(self):
-        return WittElement.from_ghost([0] * self.order)
-
-    def one(self):
-        return WittElement.from_ghost([1] * self.order)
 
     def from_int(self, n):
         return WittElement.from_ghost([n] * self.order)
@@ -1163,12 +1144,6 @@ class MPolyRing(RingDescriptor):
         self.names = list(names) if names else [f"x_{i + 1}" for i in range(nvars)]
         self.name = f"mpoly{nvars}-{adams_mode}"
 
-    def zero(self):
-        return MPoly(self.nvars)
-
-    def one(self):
-        return MPoly.const(self.nvars, 1)
-
     def variable(self, i):
         return MPoly.variable(self.nvars, i)
 
@@ -1205,86 +1180,6 @@ class MPolyRing(RingDescriptor):
 
     def show(self, x):
         return x.to_string(self.names)
-
-
-# ---------------------------------------------------------------------------
-# generic truncated series over a ring descriptor
-
-
-class TruncatedSeries:
-    """A power series over a ring descriptor, truncated at a fixed order.
-
-    Operations never consult coefficients beyond the order.  ``exp`` requires
-    constant term 0 and ``log``/``inverse`` require constant term 1; both need
-    the coefficient ring to divide exactly by integers up to the order.
-    """
-
-    __slots__ = ("ring", "order", "coeffs")
-
-    def __init__(self, ring, coeffs, order=None):
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        while len(coeffs) < order + 1:
-            coeffs.append(ring.zero())
-        self.ring = ring
-        self.order = order
-        self.coeffs = coeffs[: order + 1]
-
-    @classmethod
-    def zero(cls, ring, order):
-        return cls(ring, [], order=order)
-
-    @classmethod
-    def one(cls, ring, order):
-        return cls(ring, [ring.one()], order=order)
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            self.ring,
-            [self.ring.add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-            order=order,
-        )
-
-    def __neg__(self):
-        return TruncatedSeries(self.ring, [self.ring.neg(a) for a in self.coeffs], order=self.order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        order = min(self.order, other.order)
-        return TruncatedSeries(self.ring, ser_mul(self.ring, self.coeffs, other.coeffs, order))
-
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.ring, self.coeffs[: order + 1], order=order)
-
-    def inverse(self):
-        return TruncatedSeries(self.ring, ser_inv(self.ring, self.coeffs, self.order))
-
-    def exp(self):
-        return TruncatedSeries(self.ring, ser_exp(self.ring, self.coeffs, self.order))
-
-    def log(self):
-        return TruncatedSeries(self.ring, ser_log(self.ring, self.coeffs, self.order))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and all(self.ring.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def to_json(self):
-        return {"order": self.order, "coeffs": [self.ring.to_json(c) for c in self.coeffs]}
-
-    def __repr__(self):
-        return f"TruncatedSeries(order={self.order}, coeffs={self.coeffs!r})"
 
 
 # ---------------------------------------------------------------------------

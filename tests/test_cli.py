@@ -75,6 +75,13 @@ def test_polya_symbolic_menu(capsys):
     assert "u_2 = -1/2*x_1^2 - 1/2*x_1 + x_2" in out
 
 
+@pytest.mark.parametrize("degree", ["0", "31"])
+def test_polya_symbolic_degree_is_bounded(capsys, degree):
+    code, out, err = run(capsys, "polya", "--x", "0", "--symbolic", degree)
+    assert (code, out) == (1, "")
+    assert err == "error: symbolic degree must be between 1 and 30\n"
+
+
 # ---------------------------------------------------------------------------
 # tables
 
