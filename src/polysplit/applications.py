@@ -30,7 +30,7 @@ from .arrangements import (
     reference_top_column,
     top_column_inverse,
 )
-from .plethysm import forward_zeta, invert_zeta, virtual_stratum
+from .plethysm import MAX_SEQUENCE_TERMS, forward_zeta, invert_zeta, virtual_stratum
 from .rings import (
     IntegerRing,
     MathCheckError,
@@ -193,6 +193,7 @@ def stratum_mass(lam, n):
 def inverse_polya(values):
     """Connected/irreducible counts from total counts, trivial Adams over Z."""
     values = [int(v) for v in values]
+    check_range("number of values", len(values), MAX_SEQUENCE_TERMS)
     return invert_zeta(IntegerRing(), values)
 
 

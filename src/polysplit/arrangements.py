@@ -319,7 +319,11 @@ class IncidenceTable:
         if rows != self.entries:
             raise MathCheckError("table entry outside Z", {"degree": self.degree, "tag": self.tag})
         scale = 1 if tag == "mobius" else math.factorial(self.degree)
-        inv = _invert_triangular(rows, scale, {"degree": self.degree, "tag": tag})
+        size = len(rows)
+        split = [(row[k], [(j, x) for j, x in enumerate(row[k + 1:], k + 1) if x])
+                 for k, row in enumerate(rows)]
+        detail = {"degree": self.degree, "tag": tag}
+        inv = [_inverse_row(i, size, split.__getitem__, scale, detail) for i in range(size)]
         return IncidenceTable(self.degree, tag, self.types, _fractions(inv, scale))
 
 
@@ -334,35 +338,32 @@ def _walk_rows(types, squarefree, first=False):
     return rows
 
 
-def _invert_triangular(rows, scale, detail):
-    """Scale times the inverse of an upper-triangular int table, by back
-    substitution over the integers: for i < j,
+def _inverse_row(i, size, row, scale, detail):
+    """Row i of scale times the inverse of an upper-triangular int table t
+    of the given size, by back substitution over the integers: for i < j,
 
-        inv[i][j] = -(1 / rows[j][j]) * sum over i <= k < j of inv[i][k] * rows[k][j].
+        inv[i][j] = -(1 / t[j][j]) * sum over i <= k < j of inv[i][k] * t[k][j].
 
-    A remainder in a division means an entry outside Z[1/scale] and raises
+    ``row(k)`` gives t[k][k] and the pairs (j, t[k][j]) with j > k and
+    t[k][j] nonzero; it is asked only for the k with inv[i][k] nonzero.  A
+    remainder in a division means an entry outside Z[1/scale] and raises
     MathCheckError with ``detail``."""
-    size = len(rows)
-    nonzero = [[(j, x) for j, x in enumerate(row[k + 1:], k + 1) if x]
-               for k, row in enumerate(rows)]
-    inv = []
-    for i in range(size):
-        out = [0] * size
-        acc = [0] * size
-        acc[i] = -scale  # so the diagonal comes out as scale / rows[i][i]
-        for k in range(i, size):
-            if not acc[k]:
-                continue
-            x, remainder = divmod(-acc[k], rows[k][k])
-            if remainder:
-                raise MathCheckError(
-                    "inverse table entry outside Z[1/d!]",
-                    dict(detail, entry=format_rational(Fraction(-acc[k], rows[k][k] * scale))))
-            out[k] = x
-            for j, y in nonzero[k]:
-                acc[j] += x * y
-        inv.append(out)
-    return inv
+    out = [0] * size
+    acc = [0] * size
+    acc[i] = -scale  # so the diagonal comes out as scale / t[i][i]
+    for k in range(i, size):
+        if not acc[k]:
+            continue
+        diagonal, entries = row(k)
+        x, remainder = divmod(-acc[k], diagonal)
+        if remainder:
+            raise MathCheckError(
+                "inverse table entry outside Z[1/d!]",
+                dict(detail, entry=format_rational(Fraction(-acc[k], diagonal * scale))))
+        out[k] = x
+        for j, y in entries:
+            acc[j] += x * y
+    return out
 
 
 def _fractions(rows, scale=1):
@@ -516,35 +517,29 @@ def top_stratum_inverse(tau):
         return Fraction(0)
     r = len(tau.parts)
     value = Fraction(moebius(m), m) * Fraction((-1) ** (r - 1), r)
-    denominator = 1
-    for count in tau.part_counts().values():
-        denominator *= math.factorial(count)
-    return value * Fraction(math.factorial(r), denominator)
+    return value * Fraction(math.factorial(r), tau.aut_order())
 
 
 @lru_cache(maxsize=None)
 def top_column_inverse(d):
     """Inverse-table entries a_inv(tau, (d)) for every tau of degree d.
 
-    Computed by the dual back substitution
-
-        a_inv(tau, (d)) = -(1 / a(tau, tau)) * sum over tau < kappa <= (d)
-                          of a(tau, kappa) * a_inv(kappa, (d)),
-
-    which needs plain arrangement counts only, one walker per row tau.
+    Transposing an arrangement matrix gives a(tau, lam) = a(lam*, tau*) for
+    the dual types, and so a_inv(tau, (d)) = a_inv((1^d), tau*).  The
+    bottom type (1^d) comes first in canonical order; its row of the inverse
+    is back-substituted by the kernel of ``IncidenceTable.inverse``, which
+    walks, one walker each, only the rows of a that it needs.
     """
     types = enumerate_types(d)
-    column = [Fraction(0)] * len(types)
-    for i in reversed(range(len(types))):
-        tau = types[i]
-        if tau.parts == ((d, 1),):
-            column[i] = Fraction(1)
-            continue
-        walk = _row_walker(tau, False)
-        acc = sum((walk(types[k]) * column[k] for k in range(i + 1, len(types)) if column[k]),
-                  Fraction(0))
-        column[i] = -acc / walk(tau)
-    return dict(zip(types, column))
+    scale = math.factorial(d)
+
+    def row(k):
+        walk = _row_walker(types[k], False)
+        return walk(types[k]), [(j, x) for j, x in enumerate(map(walk, types[k + 1:]), k + 1) if x]
+
+    bottom = _inverse_row(0, len(types), row, scale, {"degree": d, "tag": "a_inv"})
+    pos = {t: i for i, t in enumerate(types)}
+    return {tau: Fraction(bottom[pos[tau.dual()]], scale) for tau in types}
 
 
 # ---------------------------------------------------------------------------

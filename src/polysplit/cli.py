@@ -258,8 +258,6 @@ def polya_cmd(xs_text, symbolic_degree):
             click.echo("u_%d = %s" % (d, u.to_string(ring.names)))
         return
     xs = [int(tok) for tok in xs_text.split(",") if tok.strip()]
-    if not xs:
-        raise ValueError("empty --x list")
     for d, u in enumerate(applications.inverse_polya(xs), start=1):
         click.echo("u_%d = %d" % (d, u))
 

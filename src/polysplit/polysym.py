@@ -80,9 +80,6 @@ class PolysymElement:
             self.basis,
             {tau: c for tau, c in self.terms.items() if tau.degree() == d})
 
-    def coefficient(self, tau):
-        return self.terms.get(tau, Fraction(0))
-
     def __add__(self, other):
         if self.basis != other.basis:
             raise ValueError("cannot add elements in different bases")

@@ -807,13 +807,6 @@ class RingDescriptor:
             total = self.add(total, e)
         return total
 
-    # truncation support; only meaningful for the Witt ring
-    def order_of(self, x):
-        return None
-
-    def truncate(self, x, order):
-        return x
-
     def to_json(self, x):
         return x.to_json()
 
@@ -1036,12 +1029,6 @@ class WittRing(RingDescriptor):
     def exact_div_by_int(self, x, d):
         # the d-th root of the series, always exact over Q
         return WittElement.from_ghost([g / d for g in x.ghosts])
-
-    def order_of(self, x):
-        return x.order
-
-    def truncate(self, x, order):
-        return x.truncate(order)
 
     def from_json(self, obj):
         return WittElement.from_json(obj)

@@ -235,11 +235,8 @@ def _sample_values(token, ring, n):
 
 def _assert_prefix_equal(ring, got, reference, full_order=None):
     for i, (g, e) in enumerate(zip(got, reference), start=1):
-        order = ring.order_of(g)
-        if order is not None:
-            if full_order is not None:
-                assert order >= full_order // i
-            e = ring.truncate(e, order)
+        if full_order is not None and isinstance(g, WittElement):
+            assert g.order >= full_order // i
         assert ring.eq(g, e)
 
 

@@ -143,6 +143,16 @@ def test_transpose_symmetry():
                     arr.count_arrangements(lam.dual(), tau.dual(), squarefree=True)
 
 
+def test_inverse_transpose_symmetry():
+    # a_inv(tau, lam) = a_inv(dual lam, dual tau), which the top column reads
+    for d in range(1, 8):
+        inv = arr.incidence_table(d, "a_inv")
+        for tau in inv.types:
+            for lam in inv.types:
+                assert inv.value(tau, lam) == inv.value(lam.dual(), tau.dual()), \
+                    (tau.label(), lam.label())
+
+
 def test_positivity_defines_order():
     # a > 0 exactly on the order relation; e can vanish on comparable pairs
     for d in range(1, 7):
@@ -325,13 +335,35 @@ def test_inverse_entries_lie_in_z_over_d_factorial():
                 assert (x * scale).denominator == 1
 
 
+def _rows_of(t, asked):
+    """The ``row`` argument of the inverse kernel for the table t; each k
+    asked for is appended to ``asked``."""
+    def row(k):
+        asked.append(k)
+        return t[k][k], [(j, x) for j, x in enumerate(t[k][k + 1:], k + 1) if x]
+    return row
+
+
+def _inverse(t, scale):
+    row = _rows_of(t, [])
+    return [arr._inverse_row(i, len(t), row, scale, {}) for i in range(len(t))]
+
+
 def test_integer_inverter_rejects_an_entry_outside_z_over_scale():
     # the inverse of diag(1, 7) has the entry 1/7, which 3! does not clear
     with pytest.raises(MathCheckError, match="outside"):
-        arr._invert_triangular([[1, 2], [0, 7]], 6, {})
-    assert arr._invert_triangular([[1, 2], [0, 3]], 6, {}) == [[6, -4], [0, 2]]
+        _inverse([[1, 2], [0, 7]], 6)
+    assert _inverse([[1, 2], [0, 3]], 6) == [[6, -4], [0, 2]]
     inv = arr.incidence_table(6, "a_inv", use_cache=False)
     assert all(type(x) is Fraction for row in inv.entries for x in row)
+
+
+def test_integer_inverter_asks_only_for_the_rows_it_needs():
+    # row 0 of the inverse is zero at k = 1, so row 1 of t is never walked
+    asked = []
+    t = [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
+    assert arr._inverse_row(0, 3, _rows_of(t, asked), 1, {}) == [1, 0, -1]
+    assert asked == [0, 2]
 
 
 def test_table_inverse_guards():
@@ -396,7 +428,7 @@ def test_top_column_closed_form():
 
 
 def test_top_column_agrees_with_full_table():
-    for d in range(2, 6):
+    for d in range(2, 9):
         inv = arr.incidence_table(d, "a_inv")
         column = arr.top_column_inverse(d)
         top = T(str(d))

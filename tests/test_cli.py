@@ -224,6 +224,26 @@ def test_zeta_upto_truncates(capsys, tmp_path):
     assert len(json.loads(out)["values"]) == 2
 
 
+@pytest.mark.parametrize("command", ["polya", "invert", "forward"])
+def test_value_lists_are_bounded(capsys, tmp_path, command):
+    # 1,000 values run and 1,001 are refused before any inversion
+    for n in (1000, 1001):
+        if command == "polya":
+            args = ("polya", "--x", ",".join(["1"] * n))
+        else:
+            src = tmp_path / "values.json"
+            src.write_text(json.dumps({"ring": "Z", "values": [1] * n}))
+            args = ("zeta", command, "--ring", "Z", "--values", str(src))
+        code, out, err = run(capsys, *args)
+        if n == 1000:
+            assert (code, err) == (0, "")
+            count = len(out.splitlines()) if command == "polya" else len(json.loads(out)["values"])
+            assert count == n
+        else:
+            assert (code, out) == (1, "")
+            assert err == "error: number of values must be between 1 and 1000\n"
+
+
 def test_zeta_ring_mismatch(capsys, tmp_path):
     src = tmp_path / "closed.json"
     src.write_text(json.dumps({"ring": "Z", "role": "closed",
@@ -436,3 +456,21 @@ def test_verify_suites_pass(capsys, suite, flags):
     assert "checks passed" in out
     assert all(line.startswith("ok:") or "checks passed" in line
                for line in out.strip().splitlines())
+
+
+# SHA-256 of the stdout of the full `--no-cache verify appendix` (with its
+# `top-column ... entries=N` lines) and of `verify identities`, recorded
+# when the top column had its own Fraction back substitution
+PINNED_VERIFY = {
+    ("--no-cache", "verify", "appendix"):
+        "004ca7c4781ba70e717b99dc6da555b05c8852f123e9f64e750ad0bbc20b1a2f",
+    ("verify", "identities"):
+        "40d31ef762f1529001e5922b689bdf106f0208ec63dc039b9aa995899a67512c",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_VERIFY), ids=lambda args: args[-1])
+def test_verify_output_is_pinned(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY[args]

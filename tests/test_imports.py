@@ -29,8 +29,8 @@ def test_no_module_imports_another_modules_private_names():
 
 def test_the_scan_sees_a_private_import(tmp_path):
     source = tmp_path / "mod.py"
-    source.write_text("from .arrangements import MAX_TABLE_DEGREE, _invert_triangular\n"
+    source.write_text("from .arrangements import MAX_TABLE_DEGREE, _inverse_row\n"
                       "from polysplit.rings import _ZERO\n"
                       "from os import _exit\n")
-    assert _private_imports(source) == [("arrangements", "_invert_triangular"),
+    assert _private_imports(source) == [("arrangements", "_inverse_row"),
                                         ("polysplit.rings", "_ZERO")]

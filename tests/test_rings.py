@@ -200,13 +200,12 @@ def test_adams_identity_and_additivity(token):
     ring = ring_from_token(token, order=12)
     samples = _sample_elements(ring, token)
     for x in samples:
-        assert ring.eq(ring.adams(1, x), ring.truncate(x, ring.order_of(x)))
+        assert ring.eq(ring.adams(1, x), x)
         for y in samples:
             for r in (2, 3):
                 lhs = ring.adams(r, ring.add(x, y))
                 rhs = ring.add(ring.adams(r, x), ring.adams(r, y))
-                order = ring.order_of(lhs)
-                assert ring.eq(ring.truncate(lhs, order), ring.truncate(rhs, order))
+                assert ring.eq(lhs, rhs)
 
 
 @pytest.mark.parametrize("token", RING_TOKENS)
@@ -219,8 +218,7 @@ def test_adams_separability(token):
             for b in range(1, 7):
                 lhs = ring.adams(a, ring.adams(b, x))
                 rhs = ring.adams(a * b, x)
-                order = ring.order_of(lhs)
-                assert ring.eq(ring.truncate(lhs, order), ring.truncate(rhs, order))
+                assert ring.eq(lhs, rhs)
 
 
 @pytest.mark.parametrize("token", RING_TOKENS)
