@@ -43,29 +43,6 @@ ARTIFACT_VERSION = 1
 # counting arrangements
 
 
-def _group_slices(parts):
-    """Index ranges of maximal runs of two or more identical parts.
-
-    Rows belonging to the same run are interchangeable, so depth-first
-    states that differ only by permuting their residuals coincide.
-    """
-    slices = []
-    start = 0
-    for i in range(1, len(parts) + 1):
-        if i == len(parts) or parts[i] != parts[start]:
-            if i - start > 1:
-                slices.append((start, i))
-            start = i
-    return slices
-
-
-def _canonicalize(residual, slices):
-    """The residual list with each run sorted in decreasing order, as a tuple."""
-    for start, stop in slices:
-        residual[start:stop] = sorted(residual[start:stop], reverse=True)
-    return tuple(residual)
-
-
 def _column_fills(degs, c, n, residual, squarefree):
     """All row vectors v with sum v_i * degs[i] = c and v_i * n <= residual_i,
     in decreasing lexicographic order; entries are at most 1 if squarefree."""
@@ -91,53 +68,61 @@ def _column_fills(degs, c, n, residual, squarefree):
     return fills
 
 
-def _row_walker(tau, squarefree, first=False):
-    """Arrangement counts from tau, as a function of lam, filled column by
-    column.  One memo, keyed on (the columns of lam left to fill, the
-    canonical residual), serves every lam asked, so the lams of a table row
-    that share a column suffix share that work; next to it sit the fills of
-    a column (c, n) from a residual, grouped by the canonical residual they
-    leave.  With ``first``, stop at the first arrangement found, so each
-    result is 0 or 1."""
-    degs = [b for b, _ in tau.parts]
-    slices = _group_slices(tau.parts)
-    memo = {}
-    steps = {}
+class _Counter:
+    """Arrangement counts, filled column by column: ``count(rows, cols)`` is
+    the number of ways (with ``first``, 0 or 1: whether there is one) to
+    fill the columns cols, parts (c, n) of lam, from the rows (b, r): parts
+    of tau, each with the multiplicity r it has left.  Permuting rows
+    permutes the matrices, and a row with r = 0 is 0 in every later column,
+    so a state keeps only the rows with r > 0, sorted like the parts of a
+    type.  One memo, keyed on (remaining rows, remaining columns), serves
+    every pair the counter is asked; next to it sit the fills of a column
+    (c, n) from some rows, grouped by the rows they leave.  A counter is in
+    no reference cycle (a recursive closure would be), so a table's memo
+    is freed when the call that made it ends, not at the next collection."""
 
-    def walk(cols, residual):
+    __slots__ = ("squarefree", "first", "memo", "steps")
+
+    def __init__(self, squarefree, first=False):
+        self.squarefree = squarefree
+        self.first = first
+        self.memo = {}
+        self.steps = {}
+
+    def count(self, rows, cols):
         if not cols:
-            # Row sums are forced: the weighted residual equals the total
-            # weight of the remaining columns, which is now zero.
+            # The weighted residual equals the total weight of the
+            # remaining columns, so no rows are left either.
             return 1
-        key = (cols, residual)
-        total = memo.get(key)
+        key = (rows, cols)
+        total = self.memo.get(key)
         if total is not None:
             return total
-        c, n = cols[0]
-        step = steps.get((c, n, residual))
+        (c, n), later = cols[0], cols[1:]
+        step = self.steps.get((rows, c, n))
         if step is None:
             grouped = {}
-            for fill in _column_fills(degs, c, n, residual, squarefree):
-                rest = _canonicalize([r - f * n for r, f in zip(residual, fill)], slices)
+            degs, residual = [b for b, _ in rows], [r for _, r in rows]
+            for fill in _column_fills(degs, c, n, residual, self.squarefree):
+                rest = tuple(sorted(((b, r - f * n) for (b, r), f in zip(rows, fill) if r > f * n),
+                                    reverse=True))
                 grouped[rest] = grouped.get(rest, 0) + 1
-            step = steps[(c, n, residual)] = list(grouped.items())
+            step = self.steps[(rows, c, n)] = list(grouped.items())
         total = 0
         for rest, ways in step:
-            total += ways * walk(cols[1:], rest)
-            if first and total:
+            total += ways * self.count(rest, later)
+            if self.first and total:
                 total = 1
                 break
-        memo[key] = total
+        self.memo[key] = total
         return total
-
-    top = tuple(m for _, m in tau.parts)
-    return lambda lam: walk(lam.parts, top)
 
 
 @lru_cache(maxsize=None)
 def _walk(tau, lam, squarefree, first=False):
-    """The walker's result for one pair; the cache holds results only."""
-    return _row_walker(tau, squarefree, first)(lam)
+    """The count for one pair, from a counter of its own; the cache holds
+    results only."""
+    return _Counter(squarefree, first).count(tau.parts, lam.parts)
 
 
 def _check_degrees(tau, lam):
@@ -330,12 +315,11 @@ class IncidenceTable:
 def _walk_rows(types, squarefree, first=False):
     """The int table of arrangement counts (with ``first``, of the order)
     on types in canonical order, a linear extension of the order, so it is
-    upper-triangular.  Each row has its own walker, dropped after the row."""
-    rows = []
-    for i, tau in enumerate(types):
-        walk = _row_walker(tau, squarefree, first)
-        rows.append([0] * i + [walk(lam) for lam in types[i:]])
-    return rows
+    upper-triangular.  One counter serves every row, so rows that reach the
+    same (remaining rows, remaining columns) share that work."""
+    count = _Counter(squarefree, first).count
+    return [[0] * i + [count(tau.parts, lam.parts) for lam in types[i:]]
+            for i, tau in enumerate(types)]
 
 
 def _inverse_row(i, size, row, scale, detail):
@@ -384,7 +368,8 @@ def _compute_table(d, tag):
 
 def poset(d):
     """The order on degree-d types as the set of pairs (tau, lam) with tau <= lam,
-    read off the walker rows that the ``mobius`` table inverts."""
+    read off the order table that the ``mobius`` table inverts, walked by
+    one counter shared by every row."""
     if d > MAX_POSET_DEGREE:
         raise ValueError(f"poset materialization capped at degree {MAX_POSET_DEGREE}")
     types = enumerate_types(d)
@@ -528,14 +513,16 @@ def top_column_inverse(d):
     the dual types, and so a_inv(tau, (d)) = a_inv((1^d), tau*).  The
     bottom type (1^d) comes first in canonical order; its row of the inverse
     is back-substituted by the kernel of ``IncidenceTable.inverse``, which
-    walks, one walker each, only the rows of a that it needs.
+    walks only the rows of a that it needs, all with one counter.
     """
     types = enumerate_types(d)
     scale = math.factorial(d)
+    count = _Counter(False).count
 
     def row(k):
-        walk = _row_walker(types[k], False)
-        return walk(types[k]), [(j, x) for j, x in enumerate(map(walk, types[k + 1:]), k + 1) if x]
+        tau = types[k].parts
+        counts = enumerate((count(tau, lam.parts) for lam in types[k + 1:]), k + 1)
+        return count(tau, tau), [(j, x) for j, x in counts if x]
 
     bottom = _inverse_row(0, len(types), row, scale, {"degree": d, "tag": "a_inv"})
     pos = {t: i for i, t in enumerate(types)}

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from polysplit.applications import (
+    inverse_sum_checks,
     irr_hypersurface,
     mass_identity,
     sl_character_variety,
@@ -373,4 +374,17 @@ def test_criterion_11_property_suites():
     _check_powerfree_identity()
     _check_polysym_identities()
     _check_sl_euler_limits()
+    budget.check()
+
+
+def test_criterion_12_top_columns_past_the_reference_degrees():
+    # No reference column is bundled past degree 10: the closed form and
+    # the three sum rules are the oracles at degrees 11 and 12.
+    budget = _Budget(10)
+    for degree in (11, 12):
+        column = top_column_inverse(degree)
+        assert set(column) == set(enumerate_types(degree))
+        for tau, value in column.items():
+            assert top_stratum_inverse(tau) == value, (degree, tau)
+        assert inverse_sum_checks(degree) == {"degree": degree, "checked": degree + 2}
     budget.check()

@@ -94,8 +94,8 @@ def test_counts_match_oracle_random_pairs():
 
 @pytest.mark.parametrize("tag", ["a", "e"])
 def test_table_rows_match_oracle(tag):
-    # The table builder walks each row with one memo shared by every lam
-    # of the row; single-pair counts above never share it.
+    # The table builder walks every row with one memo shared by the whole
+    # table; single-pair counts above never share it.
     squarefree = tag == "e"
     table = arr.incidence_table(6, tag, use_cache=False)
     for tau in table.types:
@@ -401,11 +401,81 @@ PINNED_TABLE_HASHES = {
 }
 
 
+# The same hash at degrees 9 and 10, recorded from the walker that kept one
+# memo per row before the counter shared one memo by every row of a table.
+PINNED_TABLE_HASHES_9_10 = {
+    (9, "a"): "bb2b1df7db368f40b80c6687818ab1b33943848bfc9de0ba0e6e771651690877",
+    (9, "e"): "31ecfac06c9c82ef6aa578225d1a1cf8eb575c40b0cdc95a30ef26e406075155",
+    (9, "a_inv"): "1274d039469ea16c2230e4d4cef7aac979ed15175b1c9135a1cff56f352201d4",
+    (9, "e_inv"): "a57b125668682830bf2a64b69676607b8f82f2faf452a16ee2665a9a1b633cbd",
+    (9, "mobius"): "61ae7e7bf9ebc1c614db1161131c78fbde1f28348661f9cec927e8a932873ddb",
+    (10, "a"): "3e29c61b020e12bb107f438a388ccffe08cab3955098e6a07b2c73859047b36f",
+    (10, "e"): "876fa6abc452b6982694039c9df75f5dcfa04503125efce37ec1a3a15e8791c8",
+    (10, "a_inv"): "dae67447e3f71bc280af0980f94bccf34d348eff241256e61b305492f700dfc7",
+    (10, "e_inv"): "e35a55cd491d90d3077e1d70abae21eee3aa696ce1383ca1bfd2156979db03af",
+    (10, "mobius"): "1862ceab42b52215b706226fd9864bf827685f1f1c92f6862daa097806cb794b",
+}
+
+
+def _table_hash(d, tag):
+    text = json.dumps(arr.incidence_table(d, tag, use_cache=False).to_json(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("tag", arr.TABLE_TAGS)
 def test_degree_8_tables_are_pinned(tag):
-    table = arr.incidence_table(8, tag, use_cache=False)
-    text = json.dumps(table.to_json(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TABLE_HASHES[tag]
+    assert _table_hash(8, tag) == PINNED_TABLE_HASHES[tag]
+
+
+@pytest.mark.parametrize("d, tag", sorted(PINNED_TABLE_HASHES_9_10))
+def test_degree_9_and_10_tables_are_pinned(d, tag):
+    assert _table_hash(d, tag) == PINNED_TABLE_HASHES_9_10[(d, tag)]
+
+
+# ---------------------------------------------------------------------------
+# one counter shared by every row of a table
+
+COUNTER_MODES = {"a": (False, False), "e": (True, False), "order": (False, True)}
+
+
+def test_shared_counters_match_fresh_pairs_and_the_oracle(monkeypatch):
+    # One counter per mode answers every pair of degree <= 6, the modes
+    # asked in turn, so a memo shared across modes hands one mode the
+    # counts of another.  Every column fill a counter makes is recorded:
+    # its rows must form a type (no row with nothing left, rows sorted),
+    # and no counter fills the same column from the same rows twice.
+    fills = arr._column_fills
+    filled = {mode: [] for mode in COUNTER_MODES}
+    asking = [None]
+
+    def spy(degs, c, n, residual, squarefree):
+        filled[asking[0]].append((tuple(zip(degs, residual)), c, n))
+        return fills(degs, c, n, residual, squarefree)
+
+    monkeypatch.setattr(arr, "_column_fills", spy)
+    counters = {mode: arr._Counter(*flags).count for mode, flags in COUNTER_MODES.items()}
+    shared = {}
+    for d in range(1, 7):
+        types = enumerate_types(d)
+        for tau, lam in itertools.product(types, types):
+            for mode, count in counters.items():
+                asking[0] = mode
+                shared[mode, tau, lam] = count(tau.parts, lam.parts)
+    monkeypatch.undo()
+
+    for mode, states in filled.items():
+        assert len(set(states)) == len(states), mode
+        for rows, _c, _n in states:
+            assert SplittingType(rows).parts == rows, (mode, rows)
+    arr._walk.cache_clear()
+    for d in range(1, 7):
+        types = enumerate_types(d)
+        for tau, lam in itertools.product(types, types):
+            want = oracle_count(tau, lam)
+            assert shared["a", tau, lam] == arr.count_arrangements(tau, lam) == want
+            assert shared["order", tau, lam] == int(arr.leq(tau, lam)) == int(want > 0)
+            want = oracle_count(tau, lam, squarefree=True)
+            assert shared["e", tau, lam] == arr.count_arrangements(tau, lam, True) == want
 
 
 # ---------------------------------------------------------------------------

@@ -236,8 +236,8 @@ def test_poset_transitive():
 
 
 def test_poset_reads_the_walker_rows(monkeypatch):
-    # the pair set comes from one walker per row, not from a leq or a
-    # cached one-pair walk for each of the N^2 pairs
+    # the pair set comes from one counter shared by every row, not from a
+    # leq or a cached one-pair walk for each of the N^2 pairs
     def forbidden(*args, **kwargs):
         raise AssertionError("poset made a one-pair query")
 
