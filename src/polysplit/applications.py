@@ -555,7 +555,7 @@ def inverse_sum_checks(d):
 # verification suites
 
 
-def verify_appendix(max_degree=None, use_cache=True):
+def verify_appendix(max_degree=None):
     """Compare computed incidence tables against the bundled reference
     tables, entry by entry; mismatches raise MathCheckError naming the
     first offending pair of types."""
@@ -565,7 +565,7 @@ def verify_appendix(max_degree=None, use_cache=True):
             continue
         for tag in ("a", "a_inv", "mobius"):
             reference = reference_table(degree, tag)
-            live = incidence_table(degree, tag, use_cache=use_cache)
+            live = incidence_table(degree, tag)
             for tau in reference.types:
                 for lam in reference.types:
                     if reference.value(tau, lam) != live.value(tau, lam):

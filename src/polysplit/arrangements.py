@@ -16,6 +16,8 @@ tables exposed here.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 import math
 import os
@@ -46,46 +48,43 @@ ARTIFACT_VERSION = 1
 def _column_fills(degs, c, n, residual, squarefree):
     """All row vectors v with sum v_i * degs[i] = c and v_i * n <= residual_i,
     in decreasing lexicographic order; entries are at most 1 if squarefree."""
-    nrows = len(degs)
+    caps = [min(r // n, 1) if squarefree else r // n for r in residual]
     fills = []
-    v = [0] * nrows
-
-    def extend(i, remaining):
-        if remaining == 0:
-            fills.append(tuple(v))
-            return
-        if i == nrows:
-            return
-        cap = min(remaining // degs[i], residual[i] // n)
-        if squarefree:
-            cap = min(cap, 1)
-        for value in range(cap, -1, -1):
-            v[i] = value
-            extend(i + 1, remaining - value * degs[i])
-        v[i] = 0
-
-    extend(0, c)
+    _extend_fill(degs, caps, [0] * len(degs), 0, c, fills)
     return fills
+
+
+def _extend_fill(degs, caps, v, i, remaining, fills):
+    """Append to fills every vector that agrees with v before i and whose
+    entries from i on, each at most its cap, weigh remaining; larger
+    entries come first."""
+    if remaining == 0:
+        fills.append(tuple(v))
+        return
+    if i == len(degs):
+        return
+    for value in range(min(remaining // degs[i], caps[i]), -1, -1):
+        v[i] = value
+        _extend_fill(degs, caps, v, i + 1, remaining - value * degs[i], fills)
+    v[i] = 0
 
 
 class _Counter:
     """Arrangement counts, filled column by column: ``count(rows, cols)`` is
-    the number of ways (with ``first``, 0 or 1: whether there is one) to
-    fill the columns cols, parts (c, n) of lam, from the rows (b, r): parts
-    of tau, each with the multiplicity r it has left.  Permuting rows
-    permutes the matrices, and a row with r = 0 is 0 in every later column,
-    so a state keeps only the rows with r > 0, sorted like the parts of a
-    type.  One memo, keyed on (remaining rows, remaining columns), serves
-    every pair the counter is asked; next to it sit the fills of a column
-    (c, n) from some rows, grouped by the rows they leave.  A counter is in
-    no reference cycle (a recursive closure would be), so a table's memo
-    is freed when the call that made it ends, not at the next collection."""
+    the number of ways to fill the columns cols, parts (c, n) of lam, from
+    the rows (b, r): parts of tau, each with the multiplicity r it has left.
+    Permuting rows permutes the matrices, and a row with r = 0 is 0 in
+    every later column, so a state keeps only the rows with r > 0, sorted
+    like the parts of a type.  One memo, keyed on (remaining rows, remaining
+    columns), serves every pair the counter is asked; next to it sit the
+    fills of a column (c, n) from some rows, grouped by the rows they leave.
+    A counter is in no reference cycle, so a table's memo is freed when the
+    call that made it ends, not at the next collection."""
 
-    __slots__ = ("squarefree", "first", "memo", "steps")
+    __slots__ = ("squarefree", "memo", "steps")
 
-    def __init__(self, squarefree, first=False):
+    def __init__(self, squarefree):
         self.squarefree = squarefree
-        self.first = first
         self.memo = {}
         self.steps = {}
 
@@ -111,29 +110,22 @@ class _Counter:
         total = 0
         for rest, ways in step:
             total += ways * self.count(rest, later)
-            if self.first and total:
-                total = 1
-                break
         self.memo[key] = total
         return total
 
 
 @lru_cache(maxsize=None)
-def _walk(tau, lam, squarefree, first=False):
+def _walk(tau, lam, squarefree):
     """The count for one pair, from a counter of its own; the cache holds
     results only."""
-    return _Counter(squarefree, first).count(tau.parts, lam.parts)
-
-
-def _check_degrees(tau, lam):
-    if tau.degree() != lam.degree():
-        raise ValueError("types must have equal degree, got %d and %d"
-                         % (tau.degree(), lam.degree()))
+    return _Counter(squarefree).count(tau.parts, lam.parts)
 
 
 def count_arrangements(tau, lam, squarefree=False):
     """Number of arrangement matrices from tau to lam (a or, if squarefree, e)."""
-    _check_degrees(tau, lam)
+    if tau.degree() != lam.degree():
+        raise ValueError("types must have equal degree, got %d and %d"
+                         % (tau.degree(), lam.degree()))
     if _above_is_impossible(tau, lam):
         return 0
     return _walk(tau, lam, bool(squarefree))
@@ -152,11 +144,10 @@ def _above_is_impossible(tau, lam):
 
 
 def leq(tau, lam):
-    """Order relation: tau <= lam iff some arrangement from tau to lam exists."""
-    _check_degrees(tau, lam)
-    if tau == lam:
-        return True
-    return not _above_is_impossible(tau, lam) and _walk(tau, lam, False, first=True) > 0
+    """Order relation: tau <= lam iff a(tau, lam) > 0, that is, iff some
+    arrangement from tau to lam exists.  It reads the count, so it shares
+    the count's cache."""
+    return count_arrangements(tau, lam) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +303,12 @@ class IncidenceTable:
         return IncidenceTable(self.degree, tag, self.types, _fractions(inv, scale))
 
 
-def _walk_rows(types, squarefree, first=False):
-    """The int table of arrangement counts (with ``first``, of the order)
-    on types in canonical order, a linear extension of the order, so it is
-    upper-triangular.  One counter serves every row, so rows that reach the
-    same (remaining rows, remaining columns) share that work."""
-    count = _Counter(squarefree, first).count
+def _walk_rows(types, squarefree):
+    """The int table of arrangement counts on types in canonical order, a
+    linear extension of the order, so it is upper-triangular.  One counter
+    serves every row, so rows that reach the same (remaining rows,
+    remaining columns) share that work."""
+    count = _Counter(squarefree).count
     return [[0] * i + [count(tau.parts, lam.parts) for lam in types[i:]]
             for i, tau in enumerate(types)]
 
@@ -358,22 +349,23 @@ def _fractions(rows, scale=1):
 
 def _compute_table(d, tag):
     types = enumerate_types(d)
-    rows = _walk_rows(types, tag in ("e", "e_inv"), first=tag == "mobius")
+    rows = _walk_rows(types, tag in ("e", "e_inv"))
     if tag in ("a", "e"):
         return IncidenceTable(d, tag, types, _fractions(rows))
-    # the inverse tables invert the walk of a, of e, or of the order
+    if tag == "mobius":
+        # the order is where a > 0; its table is inverted over Z
+        rows = [[int(x > 0) for x in row] for row in rows]
     forward = {"a_inv": "a", "e_inv": "e", "mobius": "order"}[tag]
     return IncidenceTable(d, forward, types, rows).inverse(tag)
 
 
 def poset(d):
     """The order on degree-d types as the set of pairs (tau, lam) with tau <= lam,
-    read off the order table that the ``mobius`` table inverts, walked by
-    one counter shared by every row."""
+    read off the nonzero entries of the ``a`` table walk."""
     if d > MAX_POSET_DEGREE:
         raise ValueError(f"poset materialization capped at degree {MAX_POSET_DEGREE}")
     types = enumerate_types(d)
-    return {(tau, lam) for tau, row in zip(types, _walk_rows(types, False, first=True))
+    return {(tau, lam) for tau, row in zip(types, _walk_rows(types, False))
             for lam, x in zip(types, row) if x}
 
 
@@ -381,6 +373,19 @@ def poset(d):
 # disk cache
 
 _memory_tables = {}
+_bypassed = contextvars.ContextVar("caches_bypassed", default=False)
+
+
+@contextlib.contextmanager
+def caches_bypassed():
+    """Within the block every ``incidence_table`` call behaves as with
+    ``use_cache=False``, whoever makes it: this is how the CLI's
+    ``--no-cache`` reaches the tables behind every command."""
+    token = _bypassed.set(True)
+    try:
+        yield
+    finally:
+        _bypassed.reset(token)
 
 
 def cache_directory():
@@ -431,13 +436,14 @@ def incidence_table(d, tag, use_cache=True):
 
     Tables are held in memory for the session and mirrored to a JSON disk
     cache (POLYSPLIT_CACHE_DIR, defaulting to ~/.cache/polysplit); a corrupt
-    or stale cache file is silently recomputed.  With ``use_cache=False`` the
-    table is recomputed and neither cache is read or written.
+    or stale cache file is silently recomputed.  With ``use_cache=False``, or
+    inside ``caches_bypassed()``, the table is recomputed and neither cache
+    is read or written.
     """
     if tag not in TABLE_TAGS:
         raise ValueError("unknown table tag %r" % (tag,))
     check_range("table degree", d, MAX_TABLE_DEGREE)
-    if not use_cache:
+    if not use_cache or _bypassed.get():
         return _compute_table(d, tag)
     table = _memory_tables.get((d, tag))
     if table is None:

@@ -14,6 +14,7 @@ import click
 
 from . import applications
 from .arrangements import (
+    caches_bypassed,
     count_arrangements,
     enumerate_arrangements,
     incidence_table,
@@ -39,8 +40,8 @@ TAG_ALIASES = {"a": "a", "e": "e", "ainv": "a_inv", "mobius": "mobius"}
 def cli(ctx, no_cache):
     """Exact computations with splitting types, arrangement numbers, and
     graded zeta factorizations."""
-    ctx.ensure_object(dict)
-    ctx.obj["use_cache"] = not no_cache
+    if no_cache:
+        ctx.with_resource(caches_bypassed())
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +104,9 @@ def _table_ascii(table):
 @click.option("--tag", type=click.Choice(sorted(TAG_ALIASES)), required=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "ascii"]),
               default="json", show_default=True)
-@click.pass_context
-def arr_table(ctx, degree, tag, fmt):
+def arr_table(degree, tag, fmt):
     """Print a full incidence table for one degree."""
-    table = incidence_table(degree, TAG_ALIASES[tag],
-                            use_cache=ctx.obj["use_cache"])
+    table = incidence_table(degree, TAG_ALIASES[tag])
     if fmt == "json":
         click.echo(json.dumps(table.to_json(), indent=2))
     elif fmt == "csv":
@@ -311,12 +310,10 @@ def charvar_sl(degree, rank, mode):
 @click.argument("suite", type=click.Choice(
     ["appendix", "figure1", "identities", "oracles"]))
 @click.option("--max-degree", type=int, default=None)
-@click.pass_context
-def verify_cmd(ctx, suite, max_degree):
+def verify_cmd(suite, max_degree):
     """Re-run a verification suite; any mismatch exits with code 2."""
     if suite == "appendix":
-        checks = applications.verify_appendix(
-            max_degree=max_degree, use_cache=ctx.obj["use_cache"])
+        checks = applications.verify_appendix(max_degree=max_degree)
     elif suite == "figure1":
         checks = applications.verify_factorization(max_degree=max_degree)
     elif suite == "identities":
@@ -335,7 +332,7 @@ def verify_cmd(ctx, suite, max_degree):
 
 def main(argv=None):
     try:
-        cli.main(args=argv, standalone_mode=False, obj={})
+        cli.main(args=argv, standalone_mode=False)
     except click.ClickException as exc:
         exc.show()
         return 1

@@ -37,12 +37,9 @@ from .types import (
     SplittingType,
     canonical_sort_key,
     enumerate_types,
-    hilbert_type_counts,
 )
 
 BASES = ("M", "H", "E", "Eplus", "P")
-
-MAX_HILBERT_ORDER = 30
 
 
 class PolysymElement:
@@ -266,13 +263,6 @@ def omega(element):
     """The involution sending the complete part (b, m) to psi_m(E_b): H_tau
     goes to E_tau."""
     return convert(PolysymElement("E", convert(element, "H").terms), element.basis)
-
-
-def hilbert_series(order):
-    """Dimensions of the graded pieces: coefficients of the type counts."""
-    if not 0 <= order <= MAX_HILBERT_ORDER:
-        raise ValueError("order must be between 0 and %d" % MAX_HILBERT_ORDER)
-    return hilbert_type_counts(order)
 
 
 def complete_element(tau):

@@ -1146,25 +1146,6 @@ class MPolyRing(RingDescriptor):
     def exact_div_by_int(self, x, d):
         return x.scale(Fraction(1, d))
 
-    def to_json(self, x):
-        return {
-            "vars": self.names,
-            "terms": [
-                {"exponents": {str(i + 1): e for i, e in enumerate(m) if e},
-                 "coeff": format_rational(c)}
-                for m, c in sorted(x.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
-            ],
-        }
-
-    def from_json(self, obj):
-        terms = {}
-        for t in obj["terms"]:
-            mono = [0] * self.nvars
-            for i, e in t.get("exponents", {}).items():
-                mono[int(i) - 1] = int(e)
-            terms[tuple(mono)] = parse_rational(t["coeff"])
-        return MPoly(self.nvars, terms)
-
     def show(self, x):
         return x.to_string(self.names)
 

@@ -1,5 +1,6 @@
 """Arrangement counts, incidence tables, and their reference data."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from polysplit.rings import MathCheckError, divisors, moebius
-from polysplit.types import SplittingType, enumerate_types, parse_type
+from polysplit.types import SplittingType, enumerate_types, parse_type, reachability_order
 from polysplit import arrangements as arr
 
 
@@ -435,7 +436,7 @@ def test_degree_9_and_10_tables_are_pinned(d, tag):
 # ---------------------------------------------------------------------------
 # one counter shared by every row of a table
 
-COUNTER_MODES = {"a": (False, False), "e": (True, False), "order": (False, True)}
+COUNTER_MODES = {"a": False, "e": True}
 
 
 def test_shared_counters_match_fresh_pairs_and_the_oracle(monkeypatch):
@@ -453,7 +454,7 @@ def test_shared_counters_match_fresh_pairs_and_the_oracle(monkeypatch):
         return fills(degs, c, n, residual, squarefree)
 
     monkeypatch.setattr(arr, "_column_fills", spy)
-    counters = {mode: arr._Counter(*flags).count for mode, flags in COUNTER_MODES.items()}
+    counters = {mode: arr._Counter(squarefree).count for mode, squarefree in COUNTER_MODES.items()}
     shared = {}
     for d in range(1, 7):
         types = enumerate_types(d)
@@ -473,9 +474,62 @@ def test_shared_counters_match_fresh_pairs_and_the_oracle(monkeypatch):
         for tau, lam in itertools.product(types, types):
             want = oracle_count(tau, lam)
             assert shared["a", tau, lam] == arr.count_arrangements(tau, lam) == want
-            assert shared["order", tau, lam] == int(arr.leq(tau, lam)) == int(want > 0)
+            assert arr.leq(tau, lam) == (want > 0)
             want = oracle_count(tau, lam, squarefree=True)
             assert shared["e", tau, lam] == arr.count_arrangements(tau, lam, True) == want
+
+
+# ---------------------------------------------------------------------------
+# the order is a reading of the count
+
+
+def test_order_reads_the_count_and_matches_the_merge_forget_closure():
+    # tau <= lam iff a(tau, lam) > 0 iff lam is reached from tau by merges
+    # and forgets; poset(d) is the same relation as a set of pairs
+    for d in range(1, 9):
+        types = enumerate_types(d)
+        above = reachability_order(d)
+        for tau, lam in itertools.product(types, types):
+            assert arr.leq(tau, lam) == (arr.count_arrangements(tau, lam) > 0) \
+                == (lam in above[tau]), (tau.label(), lam.label())
+        assert arr.poset(d) == {(tau, lam) for tau in types for lam in above[tau]}, d
+
+
+def test_leq_after_a_count_is_a_cache_hit(monkeypatch):
+    made = []
+
+    class Spy(arr._Counter):
+        __slots__ = ()
+
+        def __init__(self, squarefree):
+            made.append(squarefree)
+            super().__init__(squarefree)
+
+    monkeypatch.setattr(arr, "_Counter", Spy)
+    arr._walk.cache_clear()
+    tau, lam = T("1^4"), T("2,1^2")
+    assert arr.count_arrangements(tau, lam) == oracle_count(tau, lam) > 0
+    assert made == [False]
+    hits = arr._walk.cache_info().hits
+    assert arr.leq(tau, lam)
+    assert made == [False]
+    assert arr._walk.cache_info().hits == hits + 1
+
+
+def test_fills_and_counters_leave_no_reference_cycles():
+    # Each table, top column and pair is freed by reference counting when
+    # the call that made it ends; a fill enumerator built on a closure that
+    # calls itself leaves thousands of objects for the cyclic collector.
+    types = enumerate_types(6)
+    gc.collect()
+    gc.disable()
+    try:
+        arr._walk_rows(types, False)
+        arr.top_column_inverse.__wrapped__(6)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left < 100
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polysplit import arrangements
 from polysplit.arrangements import incidence_table
 from polysplit.cli import main
 from polysplit.polysym import BASES
@@ -116,6 +117,38 @@ def test_arr_table_no_cache(capsys):
                        "--tag", "a", "--format", "json")
     assert code == 0
     assert json.loads(out)["degree"] == 2
+
+
+# the five commands that build incidence tables, on small inputs
+TABLE_COMMANDS = {
+    "arr-table": ["arr", "table", "--degree", "4", "--tag", "ainv"],
+    "verify-appendix": ["verify", "appendix", "--max-degree", "3"],
+    "verify-oracles": ["verify", "oracles", "--max-degree", "3"],
+    "polysym-convert": ["polysym", "convert", "--from", "M", "--to", "E", "--element"],
+    "hyper-stratum-mass": ["hyper", "--dim", "2", "--degree", "4", "--measure", "stratum-mass",
+                           "--stratum", "2,1^2"],
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_COMMANDS))
+def test_no_cache_reads_and_writes_no_cache(capsys, tmp_path, monkeypatch, name):
+    args = list(TABLE_COMMANDS[name])
+    if args[-1] == "--element":
+        element = tmp_path / "element.json"
+        element.write_text(json.dumps({"basis": "M", "terms": [
+            {"type": [[2, 1], [1, 2]], "coeff": "3/2"}, {"type": [[1, 3]], "coeff": "-2"}]}))
+        args.append(str(element))
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("POLYSPLIT_CACHE_DIR", str(cache))
+    monkeypatch.setattr(arrangements, "_memory_tables", {})
+    code, bypassed, err = run(capsys, "--no-cache", *args)
+    assert (code, err) == (0, "")
+    assert not cache.exists() or not list(cache.iterdir())
+    assert arrangements._memory_tables == {}
+    code, cached, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert list(cache.iterdir()), "the command built no table"
+    assert bypassed == cached
 
 
 def test_arr_tilings(capsys):

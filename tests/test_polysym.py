@@ -18,7 +18,6 @@ from polysplit.polysym import (
     complete_element,
     convert,
     elementary_element,
-    hilbert_series,
     monomial_element,
     multiply,
     omega,
@@ -409,16 +408,3 @@ def test_omega_is_a_ring_map():
     x = random_element(rng, "M", max_degree=3, nterms=2)
     y = random_element(rng, "M", max_degree=3, nterms=2)
     assert omega(multiply(x, y)) == multiply(omega(x), omega(y))
-
-
-# ---------------------------------------------------------------------------
-# sizes of the graded pieces
-
-
-def test_hilbert_series():
-    counts = hilbert_series(5)
-    assert counts == [1, 1, 3, 5, 11, 17]
-    for d in range(1, 6):
-        assert counts[d] == len(enumerate_types(d))
-    with pytest.raises(ValueError):
-        hilbert_series(31)

@@ -571,13 +571,6 @@ def test_mpoly_string():
     assert ring.show(f) == "a^2 + b"
 
 
-def test_mpoly_json_round_trip():
-    ring = MPolyRing(3)
-    f = ring.add(ring.variable(0), ring.scalar_mul_int(-2, ring.mul(
-        ring.variable(1), ring.variable(2))))
-    assert ring.eq(ring.from_json(ring.to_json(f)), f)
-
-
 # ---------------------------------------------------------------------------
 # light property-based coverage
 
