@@ -20,16 +20,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arrangements import (
-    REFERENCE_TABLE_DEGREES,
-    REFERENCE_TOP_DEGREES,
-    incidence_table,
-    monoid_oracle,
-    poset,
-    reference_table,
-    reference_top_column,
-    top_column_inverse,
-)
+from . import HYPER_MEASURES
+from .arrangements import monoid_oracle, poset, top_column_inverse
 from .plethysm import MAX_SEQUENCE_TERMS, forward_zeta, invert_zeta, virtual_stratum
 from .rings import (
     IntegerRing,
@@ -56,9 +48,6 @@ from .types import (
     partition_centralizer_order,
     reachability_order,
 )
-
-HYPER_MEASURES = ("motive", "count", "epoly", "euler", "rcc", "realeuler",
-                  "stratum-mass")
 
 MAX_HYPER_DIM = 6
 MAX_HYPER_DEGREE = 8
@@ -553,44 +542,6 @@ def inverse_sum_checks(d):
 
 # ---------------------------------------------------------------------------
 # verification suites
-
-
-def verify_appendix(max_degree=None):
-    """Compare computed incidence tables against the bundled reference
-    tables, entry by entry; mismatches raise MathCheckError naming the
-    first offending pair of types."""
-    out = []
-    for degree in REFERENCE_TABLE_DEGREES:
-        if max_degree is not None and degree > max_degree:
-            continue
-        for tag in ("a", "a_inv", "mobius"):
-            reference = reference_table(degree, tag)
-            live = incidence_table(degree, tag)
-            for tau in reference.types:
-                for lam in reference.types:
-                    if reference.value(tau, lam) != live.value(tau, lam):
-                        raise MathCheckError(
-                            "computed table differs from the reference",
-                            {"tag": tag, "degree": degree,
-                             "tau": tau.label(), "lam": lam.label()},
-                        )
-            out.append({"check": "table-" + tag, "degree": degree,
-                        "entries": len(reference.types) ** 2})
-    for degree in REFERENCE_TOP_DEGREES:
-        if max_degree is not None and degree > max_degree:
-            continue
-        reference = reference_top_column(degree)
-        live = top_column_inverse(degree)
-        for tau, value in live.items():
-            if reference.get(tau, Fraction(0)) != value:
-                raise MathCheckError(
-                    "computed top column differs from the reference",
-                    {"degree": degree, "tau": tau.label(),
-                     "lam": "(%d)" % degree},
-                )
-        out.append({"check": "top-column", "degree": degree,
-                    "entries": len(live)})
-    return out
 
 
 def verify_identities(max_degree=None):

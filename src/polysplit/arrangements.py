@@ -307,10 +307,19 @@ def _walk_rows(types, squarefree):
     """The int table of arrangement counts on types in canonical order, a
     linear extension of the order, so it is upper-triangular.  One counter
     serves every row, so rows that reach the same (remaining rows,
-    remaining columns) share that work."""
+    remaining columns) share that work.  Transposing a matrix gives
+    a(tau, lam) = a(lam*, tau*), and e likewise, so an entry whose dual
+    lies in a row already walked is read from it; types must be closed
+    under duals."""
     count = _Counter(squarefree).count
-    return [[0] * i + [count(tau.parts, lam.parts) for lam in types[i:]]
-            for i, tau in enumerate(types)]
+    pos = {t: i for i, t in enumerate(types)}
+    dual = [pos[t.dual()] for t in types]
+    rows = []
+    for i, tau in enumerate(types):
+        rows.append([0] * i + [rows[dual[j]][dual[i]] if dual[j] < i
+                               else count(tau.parts, types[j].parts)
+                               for j in range(i, len(types))])
+    return rows
 
 
 def _inverse_row(i, size, row, scale, detail):
@@ -422,7 +431,9 @@ def _store_cached_table(table):
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(table.to_json(), handle)
+                # json.dumps runs the C encoder; json.dump writes the same
+                # text through the pure-Python one, about 4x slower
+                handle.write(json.dumps(table.to_json()))
             os.replace(tmp, _cache_path(table.degree, table.tag))
         finally:
             if os.path.exists(tmp):
@@ -493,6 +504,44 @@ def reference_top_column(degree):
             for entry in data["entries"]}
 
 
+def verify_appendix(max_degree=None):
+    """Compare computed incidence tables against the bundled reference
+    tables, entry by entry; mismatches raise MathCheckError naming the
+    first offending pair of types."""
+    out = []
+    for degree in REFERENCE_TABLE_DEGREES:
+        if max_degree is not None and degree > max_degree:
+            continue
+        for tag in ("a", "a_inv", "mobius"):
+            reference = reference_table(degree, tag)
+            live = incidence_table(degree, tag)
+            for tau in reference.types:
+                for lam in reference.types:
+                    if reference.value(tau, lam) != live.value(tau, lam):
+                        raise MathCheckError(
+                            "computed table differs from the reference",
+                            {"tag": tag, "degree": degree,
+                             "tau": tau.label(), "lam": lam.label()},
+                        )
+            out.append({"check": "table-" + tag, "degree": degree,
+                        "entries": len(reference.types) ** 2})
+    for degree in REFERENCE_TOP_DEGREES:
+        if max_degree is not None and degree > max_degree:
+            continue
+        reference = reference_top_column(degree)
+        live = top_column_inverse(degree)
+        for tau, value in live.items():
+            if reference.get(tau, Fraction(0)) != value:
+                raise MathCheckError(
+                    "computed top column differs from the reference",
+                    {"degree": degree, "tau": tau.label(),
+                     "lam": "(%d)" % degree},
+                )
+        out.append({"check": "top-column", "degree": degree,
+                    "entries": len(live)})
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the top stratum
 
@@ -539,6 +588,21 @@ def top_column_inverse(d):
 # the free commutative monoid oracle
 
 
+def _extend_monomial(degrees, exps, i, remaining, out):
+    """Append to out every exponent vector that agrees with exps before i
+    and whose entries from i on weigh remaining, generator i weighing
+    degrees[i]; smaller entries come first.  It recurses at module level,
+    as ``_extend_fill`` does, so a call leaves no reference cycle."""
+    if i == len(degrees):
+        if remaining == 0:
+            out.append(tuple(exps))
+        return
+    for e in range(remaining // degrees[i] + 1):
+        exps[i] = e
+        _extend_monomial(degrees, exps, i + 1, remaining - e * degrees[i], out)
+    exps[i] = 0
+
+
 def monoid_oracle(d, generator_degrees):
     """Check the arrangement tables against a free commutative monoid.
 
@@ -565,23 +629,6 @@ def monoid_oracle(d, generator_degrees):
     nvars = len(degrees)
     zero = MPoly(nvars)
 
-    def monomials_of_degree(k):
-        out = []
-        exps = [0] * nvars
-
-        def extend(i, remaining):
-            if i == nvars:
-                if remaining == 0:
-                    out.append(tuple(exps))
-                return
-            for e in range(remaining // degrees[i] + 1):
-                exps[i] = e
-                extend(i + 1, remaining - e * degrees[i])
-            exps[i] = 0
-
-        extend(0, k)
-        return out
-
     def type_of(exps):
         parts = []
         for g, e in zip(degrees, exps):
@@ -593,7 +640,9 @@ def monoid_oracle(d, generator_degrees):
     X = {}
     for k in range(1, d + 1):
         x[k] = zero
-        for exps in monomials_of_degree(k):
+        monomials = []
+        _extend_monomial(degrees, [0] * nvars, 0, k, monomials)
+        for exps in monomials:
             term = MPoly(nvars, {exps: Fraction(1)})
             x[k] = x[k] + term
             t = type_of(exps)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import BASES
 from .arrangements import MAX_TABLE_DEGREE, IncidenceTable, incidence_table
 from .rings import (
     add_terms,
@@ -38,8 +39,6 @@ from .types import (
     canonical_sort_key,
     enumerate_types,
 )
-
-BASES = ("M", "H", "E", "Eplus", "P")
 
 
 class PolysymElement:

@@ -29,11 +29,11 @@ from polysplit.applications import (
     stratum_mass,
     transitive_oracle,
     transitive_tuples,
-    verify_appendix,
     verify_factorization,
     verify_identities,
     verify_oracles,
 )
+from polysplit.arrangements import verify_appendix
 from polysplit.plethysm import invert_zeta
 from polysplit.rings import (
     IntegerRing,

@@ -479,6 +479,38 @@ def test_shared_counters_match_fresh_pairs_and_the_oracle(monkeypatch):
             assert shared["e", tau, lam] == arr.count_arrangements(tau, lam, True) == want
 
 
+def test_walked_rows_count_each_dual_pair_once(monkeypatch):
+    # A table walk reads a(tau, lam) = a(lam*, tau*), and e likewise, from
+    # a row it has walked, so it asks its counter for at most one pair of
+    # each dual pair; every entry still equals a fresh count.
+    real = arr._Counter
+    asked = []
+
+    class Spy:
+        def __init__(self, squarefree):
+            self.inner = real(squarefree).count
+
+        def count(self, rows, cols):
+            asked.append((SplittingType(rows), SplittingType(cols)))
+            return self.inner(rows, cols)
+
+    for d in range(1, 8):
+        types = enumerate_types(d)
+        for squarefree in COUNTER_MODES.values():
+            asked.clear()
+            monkeypatch.setattr(arr, "_Counter", Spy)
+            rows = arr._walk_rows(types, squarefree)
+            monkeypatch.undo()
+            pairs = set(asked)
+            assert len(pairs) == len(asked)
+            assert all((tau, lam) == (lam.dual(), tau.dual()) or (lam.dual(), tau.dual()) not in pairs
+                       for tau, lam in pairs), (d, squarefree)
+            arr._walk.cache_clear()
+            for (i, tau), (j, lam) in itertools.product(enumerate(types), repeat=2):
+                assert rows[i][j] == arr.count_arrangements(tau, lam, squarefree), \
+                    (d, squarefree, tau.label(), lam.label())
+
+
 # ---------------------------------------------------------------------------
 # the order is a reading of the count
 
@@ -606,6 +638,8 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     fresh = arr.incidence_table(4, "a_inv")
     files = list(tmp_path.iterdir())
     assert len(files) == 1
+    # the file is the compact JSON of the table, byte for byte
+    assert files[0].read_bytes() == json.dumps(fresh.to_json()).encode()
     arr._memory_tables.clear()
     cached = arr.incidence_table(4, "a_inv")
     assert cached.entries == fresh.entries
@@ -656,6 +690,19 @@ def test_monoid_oracle_small():
     assert report["failure"] is None
     report = arr.monoid_oracle(4, [1, 1, 3])
     assert report["ok"], report
+
+
+def test_monoid_oracle_leaves_no_reference_cycles():
+    arr.monoid_oracle(4, [1, 1, 2])  # the tables and type lists it reads are cached now
+    gc.collect()
+    gc.disable()
+    try:
+        report = arr.monoid_oracle(4, [1, 1, 2])
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert report["ok"]
+    assert left == 0
 
 
 def test_monoid_oracle_sees_an_entry_off_the_order():

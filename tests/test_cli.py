@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from polysplit import arrangements
 from polysplit.arrangements import incidence_table
-from polysplit.cli import main
+from polysplit.cli import MAX_QUERY_DEGREE, main
 from polysplit.polysym import BASES
 from polysplit.rings import RING_TOKENS
 from polysplit.types import enumerate_types
@@ -168,6 +168,18 @@ def test_arr_tilings_refuses_too_many_arrangements(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: 40320 arrangements") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["count", "tilings"])
+def test_arr_queries_are_bounded_by_type_degree(capsys, command):
+    cap = MAX_QUERY_DEGREE
+    code, out, err = run(capsys, "arr", command, "--tau", "1^%d" % cap, "--lambda", str(cap))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] in ("1", "total 1")
+    code, out, err = run(capsys, "arr", command, "--tau", "1^%d" % (cap + 1),
+                         "--lambda", str(cap + 1))
+    assert (code, out) == (1, "")
+    assert err == "error: type degree must be between 1 and %d\n" % cap
 
 
 def test_types_enumerate(capsys):

@@ -1,7 +1,13 @@
 """Module boundaries inside the package."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import polysplit
 
@@ -34,3 +40,39 @@ def test_the_scan_sees_a_private_import(tmp_path):
                       "from os import _exit\n")
     assert _private_imports(source) == [("arrangements", "_inverse_row"),
                                         ("polysplit.rings", "_ZERO")]
+
+
+# ---------------------------------------------------------------------------
+# what a fresh process loads
+
+HEAVY_LAYERS = {"polysplit.applications", "polysplit.plethysm", "polysplit.polysym"}
+
+
+def _fresh_run(tmp_path, code):
+    """The polysplit modules loaded in a fresh interpreter after code runs,
+    with the value code leaves in ``result``."""
+    script = (code + "\nimport json, sys\n"
+              "print(json.dumps([result, sorted(m for m in sys.modules"
+              " if m.split('.')[0] == 'polysplit')]))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), POLYSPLIT_CACHE_DIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    result, modules = json.loads(proc.stdout.splitlines()[-1])
+    return result, set(modules)
+
+
+def test_importing_the_cli_loads_no_layer(tmp_path):
+    assert _fresh_run(tmp_path, "import polysplit.cli\nresult = None")[1] == {
+        "polysplit", "polysplit.cli"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["arr", "table", "--degree", "3", "--tag", "a"],
+    ["verify", "appendix", "--max-degree", "3"],
+])
+def test_table_commands_load_no_plethysm_polysym_or_applications(tmp_path, argv):
+    code, modules = _fresh_run(tmp_path, "import polysplit.cli\n"
+                                         "result = polysplit.cli.main(%r)" % (argv,))
+    assert code == 0
+    assert "polysplit.arrangements" in modules
+    assert not modules & HEAVY_LAYERS
