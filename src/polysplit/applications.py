@@ -163,7 +163,9 @@ def stratum_mass(lam, n):
 
     It is the virtual stratum over the q-counts of the projective spaces
     of degree-b hypersurfaces, with no Adams twist: the closed strata
-    separated by the inverse arrangement table.
+    separated by the inverse arrangement table.  Like ``virtual_stratum``,
+    it reads and writes the table disk cache unless run inside
+    ``caches_bypassed()``.
     """
     if not isinstance(lam, SplittingType):
         raise ValueError("the stratum is indexed by a splitting type")

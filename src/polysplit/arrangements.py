@@ -225,18 +225,21 @@ def enumerate_arrangements(tau, lam, squarefree=False):
     if total > MAX_ENUMERATED_ARRANGEMENTS:
         raise ValueError("%d arrangements from %s to %s; at most %d are enumerated"
                          % (total, tau.label(), lam.label(), MAX_ENUMERATED_ARRANGEMENTS))
-    degs = [b for b, _ in tau.parts]
+    return list(_fill_columns(tau, lam, squarefree, tuple(m for _, m in tau.parts), []))
 
-    def walk(j, residual, columns):
-        if j == len(lam.parts):
-            yield Arrangement(tau, lam, zip(*columns))
-            return
-        c, n = lam.parts[j]
-        for fill in _column_fills(degs, c, n, residual, squarefree):
-            rest = tuple(r - f * n for r, f in zip(residual, fill))
-            yield from walk(j + 1, rest, columns + [fill])
 
-    return list(walk(0, tuple(m for _, m in tau.parts), []))
+def _fill_columns(tau, lam, squarefree, residual, columns):
+    """Yield every arrangement from tau to lam whose first columns are
+    columns, the rows keeping the multiplicities residual for the rest.  It
+    recurses at module level, so a call leaves no reference cycle."""
+    j = len(columns)
+    if j == len(lam.parts):
+        yield Arrangement(tau, lam, zip(*columns))
+        return
+    c, n = lam.parts[j]
+    for fill in _column_fills([b for b, _ in tau.parts], c, n, residual, squarefree):
+        rest = tuple(r - f * n for r, f in zip(residual, fill))
+        yield from _fill_columns(tau, lam, squarefree, rest, columns + [fill])
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +294,9 @@ class IncidenceTable:
         the inverse is computed over Z[1/d!] for d the degree, or over Z
         for the Mobius function, which inverts the order.  A non-integral
         entry, or an inverse entry outside that ring, raises MathCheckError."""
-        rows = [[int(x) for x in row] for row in self.entries]
-        if rows != self.entries:
+        if any(x.denominator != 1 for row in self.entries for x in row):
             raise MathCheckError("table entry outside Z", {"degree": self.degree, "tag": self.tag})
+        rows = [[x.numerator for x in row] for row in self.entries]
         scale = 1 if tag == "mobius" else math.factorial(self.degree)
         size = len(rows)
         split = [(row[k], [(j, x) for j, x in enumerate(row[k + 1:], k + 1) if x])
@@ -351,21 +354,24 @@ def _inverse_row(i, size, row, scale, detail):
 
 
 def _fractions(rows, scale=1):
-    """The int table divided by scale, as the Fraction entries of a table."""
-    zero = Fraction(0)
-    return [[Fraction(x, scale) if x else zero for x in row] for row in rows]
+    """The int table divided by scale, as the Fraction entries of a table;
+    equal entries share one Fraction, built once."""
+    shared = {x: Fraction(x, scale) for x in set().union(*rows)}
+    return [[shared[x] for x in row] for row in rows]
 
 
 def _compute_table(d, tag):
-    types = enumerate_types(d)
-    rows = _walk_rows(types, tag in ("e", "e_inv"))
+    """The table of the tag at degree d.  Rows are walked only for a and e;
+    an inverse inverts its forward table, taken from the store, and the
+    Mobius function inverts the order, the 0/1 pattern of a."""
     if tag in ("a", "e"):
-        return IncidenceTable(d, tag, types, _fractions(rows))
+        types = enumerate_types(d)
+        return IncidenceTable(d, tag, types, _fractions(_walk_rows(types, tag == "e")))
     if tag == "mobius":
-        # the order is where a > 0; its table is inverted over Z
-        rows = [[int(x > 0) for x in row] for row in rows]
-    forward = {"a_inv": "a", "e_inv": "e", "mobius": "order"}[tag]
-    return IncidenceTable(d, forward, types, rows).inverse(tag)
+        a = incidence_table(d, "a")
+        return IncidenceTable(d, "order", a.types,
+                              [[int(x > 0) for x in row] for row in a.entries]).inverse(tag)
+    return incidence_table(d, tag.removesuffix("_inv")).inverse(tag)
 
 
 def poset(d):
@@ -382,19 +388,23 @@ def poset(d):
 # disk cache
 
 _memory_tables = {}
-_bypassed = contextvars.ContextVar("caches_bypassed", default=False)
+# The store of the current scope; None stands for the session store,
+# _memory_tables, mirrored to the disk cache.
+_store = contextvars.ContextVar("table_store", default=None)
 
 
 @contextlib.contextmanager
 def caches_bypassed():
-    """Within the block every ``incidence_table`` call behaves as with
-    ``use_cache=False``, whoever makes it: this is how the CLI's
-    ``--no-cache`` reaches the tables behind every command."""
-    token = _bypassed.set(True)
+    """Within the block every ``incidence_table`` call, whoever makes it,
+    uses a fresh in-memory store that reads and writes no disk cache and
+    is dropped when the block ends: this is how the CLI's ``--no-cache``
+    reaches the tables behind every command, and what ``use_cache=False``
+    does for one call.  Inside it, each table is still built once."""
+    token = _store.set({})
     try:
         yield
     finally:
-        _bypassed.reset(token)
+        _store.reset(token)
 
 
 def cache_directory():
@@ -418,6 +428,12 @@ def _load_cached_table(d, tag):
         if table.degree != d or table.tag != tag:
             return None
         if table.types != list(enumerate_types(d)):
+            return None
+        # the diagonal the tag fixes: |Aut(tau)| for a and e, its inverse
+        # for a_inv and e_inv, and 1 for the Mobius function
+        power = {"a": 1, "e": 1, "mobius": 0}.get(tag, -1)
+        if any(row[i] != Fraction(tau.aut_order()) ** power
+               for i, (tau, row) in enumerate(zip(table.types, table.entries))):
             return None
         return table
     except (OSError, ValueError, KeyError, TypeError):
@@ -445,24 +461,34 @@ def _store_cached_table(table):
 def incidence_table(d, tag, use_cache=True):
     """The incidence table of the given tag at degree d.
 
-    Tables are held in memory for the session and mirrored to a JSON disk
-    cache (POLYSPLIT_CACHE_DIR, defaulting to ~/.cache/polysplit); a corrupt
-    or stale cache file is silently recomputed.  With ``use_cache=False``, or
-    inside ``caches_bypassed()``, the table is recomputed and neither cache
-    is read or written.
+    Every table comes from the store of the current scope, and is built
+    there once.  The session store holds tables in memory and mirrors them
+    to a JSON disk cache (POLYSPLIT_CACHE_DIR, defaulting to
+    ~/.cache/polysplit); a corrupt or stale cache file is silently
+    recomputed and overwritten.  An inverse table, or the Mobius function,
+    is built by inverting its forward table taken from the same store, so
+    on a cold cache it also stores that table.  Inside ``caches_bypassed()``
+    the store is a fresh dict that no disk backs; ``use_cache=False`` runs
+    one call in such a scope of its own.
     """
     if tag not in TABLE_TAGS:
         raise ValueError("unknown table tag %r" % (tag,))
     check_range("table degree", d, MAX_TABLE_DEGREE)
-    if not use_cache or _bypassed.get():
-        return _compute_table(d, tag)
-    table = _memory_tables.get((d, tag))
+    if not use_cache:
+        with caches_bypassed():
+            return incidence_table(d, tag)
+    store = _store.get()
+    on_disk = store is None
+    if on_disk:
+        store = _memory_tables
+    table = store.get((d, tag))
     if table is None:
-        table = _load_cached_table(d, tag)
+        table = _load_cached_table(d, tag) if on_disk else None
         if table is None:
             table = _compute_table(d, tag)
-            _store_cached_table(table)
-        _memory_tables[(d, tag)] = table
+            if on_disk:
+                _store_cached_table(table)
+        store[(d, tag)] = table
     return table
 
 

@@ -158,7 +158,9 @@ def _evaluate_h(ring, xs, element, context):
 
 def virtual_stratum(ring, xs, lam):
     """U'_lam: the plethysm of the monomial element M_lam, a combination of
-    the closed strata below lam through the inverse arrangement table."""
+    the closed strata below lam through the inverse arrangement table.  It
+    reads that table through ``incidence_table``, so it reads and writes the
+    table disk cache unless run inside ``caches_bypassed()``."""
     return _evaluate_h(ring, xs, monomial_element(lam),
                        {"type": lam.label(), "op": "virtual_stratum"})
 
@@ -230,29 +232,32 @@ def powerfree(ring, xs, n, shape):
         raise ValueError("the degree vector must be nonempty and nonnegative")
     if max(shape) > len(xs):
         raise ValueError("need x_1..x_%d for this shape" % max(shape))
-    memo = {}
+    return _powerfree_class(ring, xs, n, shape, {})
 
-    def x_of(dvec):
-        total = ring.one()
-        for d in dvec:
-            if d:
-                total = ring.mul(total, xs[d - 1])
-        return total
 
-    def recurse(dvec):
-        if dvec in memo:
-            return memo[dvec]
-        value = x_of(dvec)
-        smallest = min(dvec)
-        b = 1
-        while n * b <= smallest:
-            shifted = tuple(d - n * b for d in dvec)
-            value = ring.sub(value, ring.mul(recurse(shifted), xs[b - 1]))
-            b += 1
-        memo[dvec] = value
-        return value
+def _powerfree_class(ring, xs, n, dvec, memo):
+    """Zpf(dvec) by the recursion of ``powerfree``, memoized in memo.  It
+    recurses at module level, so a call leaves no reference cycle."""
+    if dvec in memo:
+        return memo[dvec]
+    value = _x_product(ring, xs, dvec)
+    smallest = min(dvec)
+    b = 1
+    while n * b <= smallest:
+        shifted = tuple(d - n * b for d in dvec)
+        value = ring.sub(value, ring.mul(_powerfree_class(ring, xs, n, shifted, memo), xs[b - 1]))
+        b += 1
+    memo[dvec] = value
+    return value
 
-    return recurse(shape)
+
+def _x_product(ring, xs, dvec):
+    """x(dvec): the product of x_d over the nonzero components d of dvec."""
+    total = ring.one()
+    for d in dvec:
+        if d:
+            total = ring.mul(total, xs[d - 1])
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,10 @@ def _chain(basis, d, to_h):
 
 
 def convert(element, target):
-    """Rewrite an element in another basis, degree by degree."""
+    """Rewrite an element in another basis, degree by degree.  The basis
+    changes are incidence tables read through ``incidence_table``, so a
+    conversion reads and writes the table disk cache unless run inside
+    ``caches_bypassed()``."""
     if target not in BASES:
         raise ValueError("unknown basis %r" % (target,))
     if element.basis == target:

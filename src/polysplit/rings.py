@@ -79,20 +79,23 @@ def partitions(m):
     if m == 0:
         yield ()
         return
-
-    def rec(remaining, max_part):
-        if remaining == 0:
-            yield []
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield [part] + rest
-
-    for parts in rec(m, m):
+    for parts in _descending_parts(m, m):
         mult = [0] * m
         for p in parts:
             mult[p - 1] += 1
         yield tuple(mult)
+
+
+def _descending_parts(remaining, max_part):
+    """Yield the partitions of remaining into parts at most max_part, each
+    as a list of parts in decreasing order.  It recurses at module level,
+    so a call leaves no reference cycle."""
+    if remaining == 0:
+        yield []
+        return
+    for part in range(min(remaining, max_part), 0, -1):
+        for rest in _descending_parts(remaining - part, part):
+            yield [part] + rest
 
 
 def partition_count_bounded(k, max_parts):

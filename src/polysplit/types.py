@@ -170,22 +170,26 @@ def enumerate_types(d):
         raise ValueError(f"type enumeration capped at degree {MAX_ENUMERATION_DEGREE}")
 
     out = []
-
-    def rec(budget, max_part, acc):
-        if budget == 0:
-            out.append(SplittingType(acc))
-            return
-        max_b, max_m = max_part
-        for b in range(min(max_b, budget), 0, -1):
-            m_cap = max_m if b == max_b else budget // b
-            for m in range(min(m_cap, budget // b), 0, -1):
-                acc.append((b, m))
-                rec(budget - b * m, (b, m), acc)
-                acc.pop()
-
-    rec(d, (d, d), [])
+    _extend_type(d, (d, d), [], out)
     out.sort(key=canonical_sort_key)
     return tuple(out)
+
+
+def _extend_type(budget, max_part, acc, out):
+    """Append to out every type whose parts start with acc and go on with
+    parts (b, m) in decreasing order, none above max_part, weighing budget
+    in all.  It recurses at module level, so a call leaves no reference
+    cycle."""
+    if budget == 0:
+        out.append(SplittingType(acc))
+        return
+    max_b, max_m = max_part
+    for b in range(min(max_b, budget), 0, -1):
+        m_cap = max_m if b == max_b else budget // b
+        for m in range(min(m_cap, budget // b), 0, -1):
+            acc.append((b, m))
+            _extend_type(budget - b * m, (b, m), acc, out)
+            acc.pop()
 
 
 def hilbert_type_counts(N):

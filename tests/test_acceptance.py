@@ -388,3 +388,16 @@ def test_criterion_12_top_columns_past_the_reference_degrees():
             assert top_stratum_inverse(tau) == value, (degree, tau)
         assert inverse_sum_checks(degree) == {"degree": degree, "checked": degree + 2}
     budget.check()
+
+
+def test_criterion_12_top_columns_at_degrees_13_and_14():
+    # The same oracles two degrees further, with a budget of their own:
+    # about 2 s and 6 s of the run.
+    budget = _Budget(40)
+    for degree in (13, 14):
+        column = top_column_inverse(degree)
+        assert set(column) == set(enumerate_types(degree))
+        for tau, value in column.items():
+            assert top_stratum_inverse(tau) == value, (degree, tau)
+        assert inverse_sum_checks(degree) == {"degree": degree, "checked": degree + 2}
+    budget.check()

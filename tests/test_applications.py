@@ -99,6 +99,36 @@ def test_line_counts_are_closed_points(q):
         assert value == _closed_points_of_the_line(d, q)
 
 
+def _forms(nvars, d, q):
+    """The nonzero degree-d forms in nvars variables over F_q, prime q, as
+    dicts from exponent tuples to nonzero coefficients."""
+    monomials = [exps for exps in itertools.product(range(d + 1), repeat=nvars)
+                 if sum(exps) == d]
+    return [{m: c for m, c in zip(monomials, coeffs) if c}
+            for coeffs in itertools.product(range(q), repeat=len(monomials)) if any(coeffs)]
+
+
+def _form_product(f, g, q):
+    out = {}
+    for m, a in f.items():
+        for k, b in g.items():
+            key = tuple(x + y for x, y in zip(m, k))
+            out[key] = (out.get(key, 0) + a * b) % q
+    return frozenset((m, c) for m, c in out.items() if c)
+
+
+@pytest.mark.parametrize("n, d, q", [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2)])
+def test_hypersurface_counts_match_f_q_brute_force(n, d, q):
+    # a hypersurface is a nonzero form up to a scalar; it is reducible when
+    # the form is a product of two forms of lower degree
+    forms = {k: _forms(n + 1, k, q) for k in range(1, d + 1)}
+    reducible = {_form_product(f, g, q) for i in range(1, d // 2 + 1)
+                 for f in forms[i] for g in forms[d - i]}
+    irreducible = sum(frozenset(f.items()) not in reducible for f in forms[d])
+    assert irreducible % (q - 1) == 0
+    assert irr_hypersurface(n, d, "count", q) == irreducible // (q - 1)
+
+
 def test_line_motive_is_the_line_itself():
     # geometrically every point of the line has degree one, so the whole
     # tower of symmetric powers is generated by the degree-one stratum

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from polysplit.rings import MathCheckError, divisors, moebius
+from polysplit.rings import MathCheckError, divisors, format_rational, moebius
 from polysplit.types import SplittingType, enumerate_types, parse_type, reachability_order
 from polysplit import arrangements as arr
 
@@ -636,10 +636,14 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("POLYSPLIT_CACHE_DIR", str(tmp_path))
     arr._memory_tables.clear()
     fresh = arr.incidence_table(4, "a_inv")
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    # the file is the compact JSON of the table, byte for byte
-    assert files[0].read_bytes() == json.dumps(fresh.to_json()).encode()
+    # the inverse is built from the stored a table, so both are written,
+    # each file the compact JSON of its table, byte for byte
+    forward = arr._memory_tables[(4, "a")]
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        sorted(os.path.basename(arr._cache_path(4, tag)) for tag in ("a", "a_inv"))
+    for table in (forward, fresh):
+        with open(arr._cache_path(4, table.tag), "rb") as handle:
+            assert handle.read() == json.dumps(table.to_json()).encode()
     arr._memory_tables.clear()
     cached = arr.incidence_table(4, "a_inv")
     assert cached.entries == fresh.entries
@@ -657,6 +661,46 @@ def test_disk_cache_ignores_corruption(tmp_path, monkeypatch):
     recovered = arr.incidence_table(3, "a")
     assert recovered.entries == good.entries
     arr._memory_tables.clear()
+
+
+@pytest.mark.parametrize("tag", arr.TABLE_TAGS)
+def test_disk_cache_rejects_a_wrong_diagonal(tmp_path, monkeypatch, tag):
+    # a file that parses, with the right types, but one diagonal entry off
+    # is recomputed and overwritten, so no inverse is built from it
+    monkeypatch.setenv("POLYSPLIT_CACHE_DIR", str(tmp_path))
+    arr._memory_tables.clear()
+    good = arr.incidence_table(4, tag)
+    path = arr._cache_path(4, tag)
+    data = good.to_json()
+    data["entries"][2][2] = format_rational(good.entries[2][2] + 1)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(data))
+    arr._memory_tables.clear()
+    recovered = arr.incidence_table(4, tag)
+    assert recovered.entries == good.entries
+    with open(path, "rb") as handle:
+        assert handle.read() == json.dumps(good.to_json()).encode()
+    arr._memory_tables.clear()
+
+
+def test_one_walk_per_forward_table_in_a_store(monkeypatch):
+    # the inverses and the Mobius function invert the forward table of
+    # their store, so a scope walks each forward table once
+    real = arr._walk_rows
+    walks = []
+
+    def spy(types, squarefree):
+        walks.append(squarefree)
+        return real(types, squarefree)
+
+    monkeypatch.setattr(arr, "_walk_rows", spy)
+    for tags, squarefree in ((("a", "a_inv", "mobius"), False), (("e", "e_inv"), True)):
+        for order in (tags, tags[::-1]):
+            walks.clear()
+            with arr.caches_bypassed():
+                for tag in order:
+                    arr.incidence_table(6, tag)
+            assert walks == [squarefree], order
 
 
 def test_disk_cache_can_be_bypassed(tmp_path, monkeypatch):

@@ -119,12 +119,14 @@ def test_arr_table_no_cache(capsys):
     assert json.loads(out)["degree"] == 2
 
 
-# the five commands that build incidence tables, on small inputs
+# the commands that build incidence tables, on small inputs
 TABLE_COMMANDS = {
     "arr-table": ["arr", "table", "--degree", "4", "--tag", "ainv"],
+    "arr-table-mobius": ["arr", "table", "--degree", "4", "--tag", "mobius"],
     "verify-appendix": ["verify", "appendix", "--max-degree", "3"],
     "verify-oracles": ["verify", "oracles", "--max-degree", "3"],
     "polysym-convert": ["polysym", "convert", "--from", "M", "--to", "E", "--element"],
+    "polysym-convert-eplus": ["polysym", "convert", "--from", "Eplus", "--to", "M", "--element"],
     "hyper-stratum-mass": ["hyper", "--dim", "2", "--degree", "4", "--measure", "stratum-mass",
                            "--stratum", "2,1^2"],
 }
@@ -135,7 +137,8 @@ def test_no_cache_reads_and_writes_no_cache(capsys, tmp_path, monkeypatch, name)
     args = list(TABLE_COMMANDS[name])
     if args[-1] == "--element":
         element = tmp_path / "element.json"
-        element.write_text(json.dumps({"basis": "M", "terms": [
+        basis = args[args.index("--from") + 1]
+        element.write_text(json.dumps({"basis": basis, "terms": [
             {"type": [[2, 1], [1, 2]], "coeff": "3/2"}, {"type": [[1, 3]], "coeff": "-2"}]}))
         args.append(str(element))
     cache = tmp_path / "cache"

@@ -741,6 +741,28 @@ def test_weighted_strata_count_polynomials_over_f_p(p, d):
         assert virtual_stratum(IntegerRing(), xs, tau) == expected, tau.label()
 
 
+@pytest.mark.parametrize("p, d", [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 6)])
+def test_mixed_grading_strata_count_polynomial_pairs_over_f_p(p, d):
+    # X = A^1 in weight 1 and A^1 in weight 2: a point of weighted degree d
+    # is a closed point of degree d of the first line or of degree d/2 of
+    # the second, so u_d = N_d(p) + N_(d/2)(p) with N the necklace count.
+    # A zero-cycle is a pair of monics (f, g) with deg f + 2 deg g = d, and
+    # its type joins the parts of f to those of g with doubled degrees.
+    def necklaces(k):
+        return sum(moebius(k // e) * p ** e for e in divisors(k)) // k
+
+    us = [necklaces(k) + (necklaces(k // 2) if k % 2 == 0 else 0) for k in range(1, d + 1)]
+    xs = forward_zeta(IntegerRing(), us)
+    counts = {}
+    for j in range(d // 2 + 1):
+        for (f, m), (g, n) in itertools.product(_type_counts(p, d - 2 * j).items(),
+                                                _type_counts(p, j).items()):
+            tau = f.union(SplittingType([(2 * b, e) for b, e in g.parts]))
+            counts[tau] = counts.get(tau, 0) + m * n
+    for tau in enumerate_types(d):
+        assert virtual_stratum(IntegerRing(), xs, tau) == counts.get(tau, 0), tau.label()
+
+
 # ---------------------------------------------------------------------------
 # power-free loci
 

@@ -49,8 +49,8 @@ ALLOWED = {
                                  "(ROADMAP item 6 routes it to a polysym action)",
     "plethysm.newton_poly": "Newton's identity as a polynomial; test_plethysm checks it",
     "plethysm.powerfree": "paper formula; acceptance criterion 11",
-    "plethysm.powerfree.<locals>.recurse": "part of powerfree",
-    "plethysm.powerfree.<locals>.x_of": "part of powerfree",
+    "plethysm._powerfree_class": "part of powerfree",
+    "plethysm._x_product": "part of powerfree",
     # polysym
     "polysym.PolysymElement.__add__": DATA_MODEL,
     "polysym.PolysymElement.__eq__": DATA_MODEL,
