@@ -12,9 +12,9 @@ of x_1 ... x_m.  The forward direction rebuilds the x's from the u's via
     P_i = sum over k | i of k * psi_(i/k)(u_k).
 
 Both recurrences are Newton's identity, the series kernel
-``rings.power_sums`` / ``rings.from_power_sums``.  Both directions divide
-by d exactly and raise MathCheckError when the division does not land back
-in the ring.
+``rings.power_sums`` / ``rings.from_power_sums``, whose every degree is one
+``ring.dot``, a sum of products.  Both directions divide by d exactly and
+raise MathCheckError when the division does not land back in the ring.
 
 The same machinery evaluates polysymmetric elements on a sequence
 (generic plethysm: the element in the H basis, with H_tau sent to the
@@ -45,8 +45,10 @@ from .rings import (
 # and 0.7 s at d = 30 on one core of a 2-vCPU host
 MAX_SYMBOLIC_DEGREE = 30
 
-# zeta inversion is quadratic in the number of values: 1,000 unit values
-# take 0.1-0.2 s on one core of a 2-vCPU host, and each doubling about 4x
+# zeta inversion is quadratic in the number of values, each doubling about
+# 4x: on one core of a 2-vCPU host, 1,000 unit values invert in 0.03-0.04 s
+# over Z, 0.2-0.4 s over Q and 0.05-0.08 s over pairs, and expand forward in
+# about as long
 MAX_SEQUENCE_TERMS = 1000
 
 

@@ -591,6 +591,8 @@ class RatFunc:
 #     n * x_n = sum over i = 1..n of P_i * x_(n-i),    x_0 = 1,
 #
 # is the one kernel behind zeta inversion, Witt coordinates, log and exp.
+# Each degree is one ``ring.dot``, a sum of products that a descriptor may
+# compute in one pass.
 
 
 def exact_div(ring, x, d, detail=None):
@@ -607,9 +609,9 @@ def power_sums(ring, xs, upto):
     ps = []
     for n in range(1, upto + 1):
         p = ring.scalar_mul_int(n, xs[n - 1])
-        for i in range(1, n):
-            p = ring.sub(p, ring.mul(xs[i - 1], ps[n - i - 1]))
-        ps.append(p)
+        # P_1 is x_1 as given: subtracting an empty dot would cut a Witt x_1
+        # to the ring's order
+        ps.append(ring.sub(p, ring.dot(xs[:n - 1], ps[::-1])) if ps else p)
     return ps
 
 
@@ -617,11 +619,12 @@ def from_power_sums(ring, ps, upto, direction=None):
     """[x_1, ..., x_upto] from P_1 ... P_upto, dividing each n * x_n by n
     exactly; a failure carries {"degree": n, "direction": direction} when a
     direction is given."""
+    if len(ps) < upto:
+        raise ValueError("need P_1..P_%d, got %d power sums" % (upto, len(ps)))
     xs = [ring.one()]
     for n in range(1, upto + 1):
-        total = ring.sum(ring.mul(ps[i - 1], xs[n - i]) for i in range(1, n + 1))
         detail = None if direction is None else {"degree": n, "direction": direction}
-        xs.append(exact_div(ring, total, n, detail))
+        xs.append(exact_div(ring, ring.dot(ps[:n], xs[::-1]), n, detail))
     return xs[1:]
 
 
@@ -637,15 +640,12 @@ def ser_mul(ring, a, b, order):
 
 
 def ser_inv(ring, f, order):
-    add, mul, zero, one = ring.add, ring.mul, ring.zero(), ring.one()
+    one = ring.one()
     if not ring.eq(f[0], one):
         raise ValueError("series inverse requires constant term 1")
-    g = [one] + [zero] * order
+    g = [one] + [ring.zero()] * order
     for n in range(1, order + 1):
-        acc = zero
-        for k in range(1, n + 1):
-            acc = add(acc, mul(f[k], g[n - k]))
-        g[n] = ring.neg(acc)
+        g[n] = ring.neg(ring.dot(f[1:n + 1], g[n - 1::-1]))
     return g
 
 
@@ -757,7 +757,9 @@ class RingDescriptor:
     ``exact_div_by_int`` returns None (not an exception) when no exact
     quotient exists.  ``add``, ``neg``, ``mul``, ``eq`` and ``to_json``
     default to the elements' own operators and method; ``adams`` defaults to
-    the trivial operation.
+    the trivial operation.  ``dot(xs, ys)``, the sum of the products
+    ``xs[i] * ys[i]`` (zero for empty lists), defaults to ``sum`` over
+    ``mul``; override it only with an exact equivalent.
     """
 
     name = "abstract"
@@ -810,6 +812,9 @@ class RingDescriptor:
             total = self.add(total, e)
         return total
 
+    def dot(self, xs, ys):
+        return self.sum(map(self.mul, xs, ys))
+
     def to_json(self, x):
         return x.to_json()
 
@@ -831,6 +836,9 @@ class IntegerRing(RingDescriptor):
 
     def from_int(self, n):
         return int(n)
+
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys))
 
     def exact_div_by_int(self, x, d):
         q, r = divmod(x, d)
@@ -860,6 +868,18 @@ class RationalRing(RingDescriptor):
 
     def from_int(self, n):
         return Fraction(n)
+
+    def dot(self, xs, ys):
+        # one pass over a common denominator, the lcm of the products'
+        # denominators, and one normalisation at the end; ints have a
+        # numerator and a denominator too
+        num, den = 0, 1
+        for x, y in zip(xs, ys):
+            d = x.denominator * y.denominator
+            g = math.gcd(den, d)
+            num = num * (d // g) + x.numerator * y.numerator * (den // g)
+            den = den // g * d
+        return Fraction(num, den)
 
     def exact_div_by_int(self, x, d):
         return Fraction(x) / d
@@ -977,6 +997,13 @@ class PairRing(RingDescriptor):
 
     def mul(self, x, y):
         return (x[0] * y[0], x[1] * y[1])
+
+    def dot(self, xs, ys):
+        a = b = 0
+        for (x0, x1), (y0, y1) in zip(xs, ys):
+            a += x0 * y0
+            b += x1 * y1
+        return (a, b)
 
     def exact_div_by_int(self, x, d):
         if x[0] % d or x[1] % d:

@@ -6,8 +6,11 @@ everything from scratch (no disk cache), so a pass certifies both correctness
 against the bundled reference tables and the advertised runtimes.
 """
 
+import json
 import time
 from fractions import Fraction
+
+from click.testing import CliRunner
 
 from polysplit.applications import (
     inverse_sum_checks,
@@ -27,7 +30,9 @@ from polysplit.arrangements import (
     top_column_inverse,
     top_stratum_inverse,
 )
+from polysplit.cli import cli
 from polysplit.plethysm import (
+    MAX_SEQUENCE_TERMS,
     binomial_strata,
     forward_zeta,
     invert_zeta,
@@ -400,4 +405,28 @@ def test_criterion_12_top_columns_at_degrees_13_and_14():
         for tau, value in column.items():
             assert top_stratum_inverse(tau) == value, (degree, tau)
         assert inverse_sum_checks(degree) == {"degree": degree, "checked": degree + 2}
+    budget.check()
+
+
+# ---------------------------------------------------------------------------
+# criterion 13: zeta round trip at the value-list cap
+
+
+def test_criterion_13_zeta_round_trip_at_the_sequence_cap(tmp_path):
+    # x_n = 2^n counts the monic degree-n polynomials over F_2, so u_d counts
+    # the irreducible ones; the whole cap goes through the CLI both ways
+    budget = _Budget(15)
+    closed = {"ring": "Q", "role": "closed",
+              "values": [str(2**n) for n in range(1, MAX_SEQUENCE_TERMS + 1)]}
+    src = tmp_path / "closed.json"
+    src.write_text(json.dumps(closed))
+    runner = CliRunner()
+    inverted = runner.invoke(cli, ["zeta", "invert", "--ring", "Q", "--values", str(src)])
+    assert inverted.exit_code == 0, inverted.output
+    assert json.loads(inverted.stdout)["values"][:6] == ["2", "1", "2", "3", "6", "9"]
+    mid = tmp_path / "irreducible.json"
+    mid.write_text(inverted.stdout)
+    expanded = runner.invoke(cli, ["zeta", "forward", "--ring", "Q", "--values", str(mid)])
+    assert expanded.exit_code == 0, expanded.output
+    assert json.loads(expanded.stdout) == closed
     budget.check()

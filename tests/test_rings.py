@@ -2,6 +2,7 @@
 
 import math
 import operator
+import random
 import time
 from fractions import Fraction
 
@@ -20,10 +21,12 @@ from polysplit.rings import (
     RatFunc,
     RationalFunctionRing,
     RationalRing,
+    RingDescriptor,
     WittElement,
     WittRing,
     add_terms,
     divisors,
+    exact_div,
     from_power_sums,
     moebius,
     parse_rational,
@@ -524,6 +527,119 @@ def test_power_sums_round_trip(token, data):
     ps = power_sums(ring, xs, n)
     assert len(ps) == n
     assert all(ring.eq(a, b) for a, b in zip(from_power_sums(ring, ps, n), xs))
+
+
+# The per-term loops that each degree's one ``ring.dot`` replaced, kept as
+# the reference for the kernel.
+
+
+def _schoolbook_power_sums(ring, xs, upto):
+    ps = []
+    for n in range(1, upto + 1):
+        p = ring.scalar_mul_int(n, xs[n - 1])
+        for i in range(1, n):
+            p = ring.sub(p, ring.mul(xs[i - 1], ps[n - i - 1]))
+        ps.append(p)
+    return ps
+
+
+def _schoolbook_from_power_sums(ring, ps, upto, direction):
+    xs = [ring.one()]
+    for n in range(1, upto + 1):
+        total = ring.sum(ring.mul(ps[i - 1], xs[n - i]) for i in range(1, n + 1))
+        xs.append(exact_div(ring, total, n, {"degree": n, "direction": direction}))
+    return xs[1:]
+
+
+def _seeded_fraction(rng):
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def _seeded_poly(rng, coeff):
+    return Poly({e: coeff(rng) for e in range(rng.randint(0, 3))})
+
+
+def _seeded_mpoly(rng):
+    return MPoly(3, {tuple(rng.randint(0, 2) for _ in range(3)): _seeded_fraction(rng)
+                     for _ in range(rng.randint(0, 3))})
+
+
+_NEWTON_RINGS = [
+    (IntegerRing(), lambda rng: rng.randint(-30, 30)),
+    (RationalRing(), _seeded_fraction),
+    (PolyRing(integral=True), lambda rng: _seeded_poly(rng, lambda r: r.randint(-9, 9))),
+    (PolyRing(integral=False), lambda rng: _seeded_poly(rng, _seeded_fraction)),
+    (RationalFunctionRing(),
+     lambda rng: RatFunc(_seeded_poly(rng, lambda r: r.randint(-3, 3)),
+                         Poly({0: 1, 1: rng.randint(-2, 2)}))),
+    (PairRing(), lambda rng: (rng.randint(-30, 30), rng.randint(-30, 30))),
+    (WittRing(6), lambda rng: WittElement([1] + [_seeded_fraction(rng) for _ in range(6)])),
+    (MPolyRing(3, "monomial"), _seeded_mpoly),
+    (MPolyRing(3), _seeded_mpoly),
+]
+
+
+def test_newton_rings_cover_every_token():
+    assert {ring.name for ring, _ in _NEWTON_RINGS} >= set(RING_TOKENS)
+
+
+@pytest.mark.parametrize("ring,draw", _NEWTON_RINGS,
+                         ids=[ring.name for ring, _ in _NEWTON_RINGS])
+@pytest.mark.parametrize("seed", range(3))
+def test_newton_kernel_matches_the_per_term_loops(ring, draw, seed):
+    # the seeded values go through both kernels, and so do their power sums,
+    # which divide back exactly in every ring; over Z, pairs and polyZ the
+    # seeded values themselves may not, and both kernels must then refuse
+    # the same degree with the same detail
+    rng = random.Random(seed)
+    size = 4 if ring.name == "ratfunc" else 6
+    values = [draw(rng) for _ in range(size)]
+    for upto in (1, size):
+        ps = _schoolbook_power_sums(ring, values, upto)
+        assert power_sums(ring, values, upto) == ps
+        for given in (ps, values):
+            try:
+                expected = _schoolbook_from_power_sums(ring, given, upto, "forward")
+            except MathCheckError as exc:
+                with pytest.raises(MathCheckError) as got:
+                    from_power_sums(ring, given, upto, "forward")
+                assert (str(got.value), got.value.detail) == (str(exc), exc.detail)
+            else:
+                assert from_power_sums(ring, given, upto, "forward") == expected
+
+
+def test_power_sums_keep_x_1_as_given():
+    # a Witt x_1 of a higher order than the ring keeps its order as P_1
+    x = WittElement.geometric(Fraction(2), 8)
+    assert power_sums(WittRing(4), [x], 1) == [x]
+
+
+def test_from_power_sums_needs_every_power_sum():
+    # a missing P_n is an error, not a zero term of the sum
+    with pytest.raises(ValueError, match="need P_1..P_3"):
+        from_power_sums(QQ, [Fraction(1), Fraction(1)], 3)
+
+
+def _dot_inputs(token, rng, length):
+    if token == "Z":
+        return [rng.randint(-2**70, 2**70) for _ in range(length)]
+    if token == "pair":
+        return [(rng.randint(-99, 99), rng.randint(-2**70, 2**70)) for _ in range(length)]
+    # Q: plain ints, small fractions and denominators past 2**64, mixed
+    kinds = (lambda: rng.randint(-50, 50), lambda: _seeded_fraction(rng),
+             lambda: Fraction(rng.randint(-2**90, 2**90), rng.randint(1, 2**80)))
+    return [rng.choice(kinds)() for _ in range(length)]
+
+
+@pytest.mark.parametrize("token", ["Z", "Q", "pair"])
+@pytest.mark.parametrize("seed", range(4))
+def test_dot_overrides_match_the_default(token, seed):
+    ring = ring_from_token(token)
+    rng = random.Random(seed)
+    assert ring.dot([], []) == ring.zero()
+    for length in (1, 2, 5, 40):
+        xs, ys = _dot_inputs(token, rng, length), _dot_inputs(token, rng, length)
+        assert ring.dot(xs, ys) == RingDescriptor.dot(ring, xs, ys)
 
 
 @settings(max_examples=40, deadline=None)
