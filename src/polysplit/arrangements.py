@@ -669,13 +669,13 @@ def monoid_oracle(d, generator_degrees):
         monomials = []
         _extend_monomial(degrees, [0] * nvars, 0, k, monomials)
         for exps in monomials:
-            term = MPoly(nvars, {exps: Fraction(1)})
+            term = MPoly(nvars, {exps: 1})
             x[k] = x[k] + term
             t = type_of(exps)
             X[t] = X.get(t, zero) + term
 
     def S_of(t):
-        product = MPoly(nvars, {(0,) * nvars: Fraction(1)})
+        product = MPoly(nvars, {(0,) * nvars: 1})
         for b, m in t.parts:
             product = product * x[b].power_substitute(m)
         return product

@@ -42,7 +42,7 @@ from .rings import (
 )
 
 # every 5 degrees u_d gets about 3x the terms and 4x the time: 5,846 terms
-# and 0.7 s at d = 30 on one core of a 2-vCPU host
+# and 0.45 s at d = 30 on one core of a 2-vCPU host
 MAX_SYMBOLIC_DEGREE = 30
 
 # zeta inversion is quadratic in the number of values, each doubling about

@@ -187,6 +187,13 @@ def _ints(terms, keys=None):
     return terms
 
 
+def _scaled(terms, c):
+    """The term dict c * terms, an int wherever the product is integral."""
+    if type(c) is not int:
+        c = Fraction(c)
+    return _ints({k: v * c for k, v in terms.items()}) if c else {}
+
+
 def _integer_terms(terms):
     """A nonempty term dict over Q with int keys as (lcm of the denominators,
     lowest key, dense list of the numerators over that lcm from the lowest
@@ -205,20 +212,31 @@ def _half_slots(count, width):
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def packed_mul(a, b):
-    """Product of two nonempty term dicts over Q with int keys, by Kronecker
-    substitution: each operand, its denominators cleared, is packed into one
-    int with a slot of ``width`` bytes per exponent, the two ints are
-    multiplied once, and the signed slots of the product are read back.
+def packed_dot(pairs):
+    """Sum of the products a * b over a nonempty list of (a, b) pairs of
+    nonempty term dicts over Q with int keys, by Kronecker substitution:
+    every operand, its denominators cleared, is packed into one int with a
+    slot of ``width`` bytes per exponent, each pair's packed product is
+    scaled to one common denominator (the lcm of the products'
+    denominators) and shifted by its lowest exponent, and the slots of the
+    packed sum are read back once.
 
-    A slot holds any |c| < 2**(8 * width - 1); no product coefficient exceeds
-    max|a| * max|b| * min(len(a), len(b)).  Adding half the slot base to
-    every slot makes each one nonnegative, so neither packing nor unpacking
-    carries between slots.
+    A slot holds any |c| < 2**(8 * width - 1); no coefficient of one product
+    exceeds max|a| * max|b| * min(len(a), len(b)), so none of the sum exceeds
+    the sum of those bounds, each times its product's scale.  Adding half the
+    slot base to every slot makes each one nonnegative, so neither packing nor
+    unpacking carries between slots.
     """
-    den_a, low_a, dense_a = _integer_terms(a)
-    den_b, low_b, dense_b = _integer_terms(b)
-    bound = max(map(abs, dense_a)) * max(map(abs, dense_b)) * min(len(a), len(b))
+    products = []  # (denominator, lowest key, dense a, dense b, bound on term pairs)
+    for a, b in pairs:
+        (den_a, low_a, dense_a), (den_b, low_b, dense_b) = _integer_terms(a), _integer_terms(b)
+        products.append((den_a * den_b, low_a + low_b, dense_a, dense_b, min(len(a), len(b))))
+    den = math.lcm(*[d for d, *_ in products])
+    low = min(lo for _, lo, *_ in products)
+    bound = count = 0
+    for d, lo, dense_a, dense_b, term_pairs in products:
+        bound += max(map(abs, dense_a)) * max(map(abs, dense_b)) * term_pairs * (den // d)
+        count = max(count, lo - low + len(dense_a) + len(dense_b) - 1)
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
 
@@ -226,16 +244,19 @@ def packed_mul(a, b):
         raw = b"".join([(c + half).to_bytes(width, "little") for c in dense])
         return int.from_bytes(raw, "little") - _half_slots(len(dense), width)
 
-    count = len(dense_a) + len(dense_b) - 1
-    product = pack(dense_a) * pack(dense_b) + _half_slots(count, width)
-    raw = product.to_bytes(count * width, "little")
-    den, low = den_a * den_b, low_a + low_b
-    out = {}
-    for i in range(count):
-        c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
-        if c:
-            out[low + i] = c if den == 1 else Fraction(c, den)
-    return out if den == 1 else _ints(out)
+    total = _half_slots(count, width)
+    for d, lo, dense_a, dense_b, _ in products:
+        total += pack(dense_a) * pack(dense_b) * (den // d) << 8 * width * (lo - low)
+    raw = total.to_bytes(count * width, "little")
+    slots = [(low + i, int.from_bytes(raw[i * width:(i + 1) * width], "little") - half)
+             for i in range(count)]
+    return _over([(e, c) for e, c in slots if c], den)
+
+
+def packed_mul(a, b):
+    """Product of two nonempty term dicts over Q with int keys: the one-pair
+    :func:`packed_dot`."""
+    return packed_dot([(a, b)])
 
 
 def show_terms(pairs):
@@ -332,11 +353,7 @@ class Poly:
         return self._new(_ints(sparse_mul(a, b, operator.add)))
 
     def scale(self, c):
-        if type(c) is not int:
-            c = Fraction(c)
-        if c == 0:
-            return Poly({}, var=self.var)
-        return self._new(_ints({e: k * c for e, k in self.coeffs.items()}))
+        return self._new(_scaled(self.coeffs, c))
 
     def __pow__(self, n):
         if n < 0:
@@ -759,7 +776,10 @@ class RingDescriptor:
     default to the elements' own operators and method; ``adams`` defaults to
     the trivial operation.  ``dot(xs, ys)``, the sum of the products
     ``xs[i] * ys[i]`` (zero for empty lists), defaults to ``sum`` over
-    ``mul``; override it only with an exact equivalent.
+    ``mul``; override it only with an exact equivalent.  Four rings do: Z
+    (one int sum), Q (one common denominator), the pair ring (one int sum
+    per component) and the polynomial rings (one Kronecker-packed sum,
+    :func:`packed_dot`, when the products are dense).
     """
 
     name = "abstract"
@@ -927,6 +947,16 @@ class PolyRing(RingDescriptor):
             add_terms(terms, e.coeffs.items())
         return first._new(_ints(terms))
 
+    def dot(self, xs, ys):
+        # Poly.__mul__'s rule summed over the pairs: pack the whole sum when
+        # its term pairs outnumber the exponent slots of its products, so
+        # that wide sparse operands (Frobenius images) stay sparse
+        pairs = [(x.coeffs, y.coeffs) for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
+        if (sum(len(a) * len(b) for a, b in pairs)
+                > sum(max(a) - min(a) + max(b) - min(b) + 1 for a, b in pairs)):
+            return xs[0]._new(packed_dot(pairs))
+        return RingDescriptor.dot(self, xs, ys)
+
     def adams(self, r, x):
         self._check_r(r)
         return x.substitute_power(r) if self.frobenius else x
@@ -1073,7 +1103,9 @@ def _mono_mul(m1, m2):
 
 
 class MPoly:
-    """Multivariate polynomial over Q: map from exponent tuples to Fractions."""
+    """Multivariate polynomial over Q: a map from exponent tuples to
+    coefficients, an int where integral and a Fraction only where not, as
+    in :class:`Poly`."""
 
     __slots__ = ("nvars", "terms")
 
@@ -1082,12 +1114,13 @@ class MPoly:
         clean = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = Fraction(c)
                 if c != 0:
                     if len(mono) != nvars:
                         raise ValueError("exponent tuple of wrong length")
                     clean[tuple(mono)] = c
-        self.terms = clean
+        self.terms = _ints(clean)
 
     def _new(self, terms):
         """A polynomial in as many variables over an already clean term dict."""
@@ -1098,19 +1131,20 @@ class MPoly:
 
     @classmethod
     def const(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars, i):
         mono = [0] * nvars
         mono[i] = 1
-        return cls(nvars, {tuple(mono): Fraction(1)})
+        return cls(nvars, {tuple(mono): 1})
 
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        return self._new(add_terms(dict(self.terms), other.terms.items()))
+        terms = add_terms(dict(self.terms), other.terms.items())
+        return self._new(_ints(terms, other.terms))
 
     def __neg__(self):
         return self._new({m: -c for m, c in self.terms.items()})
@@ -1119,11 +1153,10 @@ class MPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        return self._new(sparse_mul(self.terms, other.terms, _mono_mul))
+        return self._new(_ints(sparse_mul(self.terms, other.terms, _mono_mul)))
 
     def scale(self, c):
-        c = Fraction(c)
-        return self._new({} if c == 0 else {m: k * c for m, k in self.terms.items()})
+        return self._new(_scaled(self.terms, c))
 
     def power_substitute(self, r):
         """Raise every variable to the r-th power (monomial Adams)."""
@@ -1174,7 +1207,7 @@ class MPolyRing(RingDescriptor):
         return x.power_substitute(r)
 
     def exact_div_by_int(self, x, d):
-        return x.scale(Fraction(1, d))
+        return x._new(_over(x.terms.items(), d))
 
     def show(self, x):
         return x.to_string(self.names)

@@ -44,7 +44,7 @@ from polysplit.rings import (
     WittRing,
     divisors,
     moebius,
-    packed_mul,
+    packed_dot,
 )
 from polysplit.types import enumerate_types, parse_type
 
@@ -145,14 +145,14 @@ def test_witt_ghost_route_matches_motive_counts(n, q):
 
 def test_witt_ghost_route_covers_packed_products(monkeypatch):
     # at n = 6 the motive's inversion multiplies polynomials of hundreds of
-    # terms, which Poly.__mul__ packs into one int each
+    # terms, which Poly.__mul__ and PolyRing.dot pack into one int each
     widest = []
 
-    def spy(a, b):
-        widest.append(max(len(a), len(b)))
-        return packed_mul(a, b)
+    def spy(pairs):
+        widest.append(max(max(len(a), len(b)) for a, b in pairs))
+        return packed_dot(pairs)
 
-    monkeypatch.setattr(rings, "packed_mul", spy)
+    monkeypatch.setattr(rings, "packed_dot", spy)
     _check_ghost_route(6, 2, top=5, order=10)
     assert max(widest) >= 200
 

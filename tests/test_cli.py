@@ -9,15 +9,17 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import tempfile
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysplit import arrangements
+from polysplit import arrangements, rings
 from polysplit.arrangements import incidence_table
-from polysplit.cli import MAX_QUERY_DEGREE, main
+from polysplit.cli import MAX_QUERY_DEGREE, cli, main
 from polysplit.polysym import BASES
 from polysplit.rings import RING_TOKENS
 from polysplit.types import enumerate_types
@@ -522,3 +524,50 @@ def test_verify_output_is_pinned(capsys, args):
     code, out, err = run(capsys, *args)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY[args]
+
+
+# SHA-256 of the stdout of zeta inversion and expansion over the seeded
+# values files in tests/data, of the symbolic menu (MPoly) and of the monoid
+# and transitive oracles, recorded when MPoly stored every coefficient as a
+# Fraction and PolyRing summed its products one at a time
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+PINNED_KERNEL_OUTPUTS = {
+    ("zeta", "invert", "polyZ"):
+        "66b4b1d9012ff2d3b292c073ac4cbf395bf513633dcccc94d883a63a9e718b1c",
+    ("zeta", "forward", "polyZ"):
+        "0d651177fae03c52857f4478ccba6c12bbd31a363e909e73f41bc65fc6a0797d",
+    ("zeta", "invert", "polyQ"):
+        "5ff117856fc9480e0c71d1710dd0c64547b85ad7c360cd3a76f39a0b64d0ff68",
+    ("zeta", "forward", "polyQ"):
+        "bf2efb1f62670e5201ad8a030692f0c302c43d7e2b5f00da21a577542e4beca5",
+    ("zeta", "invert", "Q"):
+        "1ceb57aaed09efbf9312276403df5d75f9077c2b4a941e80dd75281b6eb12a51",
+    ("zeta", "forward", "Q"):
+        "115cac434314e963659572ace7b66a9766b772c8d88f7c430d2ed0028fa863e6",
+    ("polya", "--x", "0", "--symbolic", "12"):
+        "c498b9df27b4e582fe9fb6697cc782c543946b5458db8addc93123276b2e5380",
+    ("verify", "oracles"):
+        "17d9b4317ddc735341d352ec409035dbe966914f99d9f3eaf8918e36a433d264",
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_KERNEL_OUTPUTS), ids="-".join)
+def test_kernel_outputs_are_pinned(monkeypatch, key):
+    # the zeta commands over the polynomial rings must also reach the packed
+    # dot product with more than one pair, which only PolyRing.dot passes
+    packed, packed_dot = [], rings.packed_dot
+
+    def spy(pairs):
+        packed.append(len(pairs))
+        return packed_dot(pairs)
+
+    args = list(key)
+    if key[0] == "zeta":
+        values = DATA / ("zeta-%s.json" % key[2])
+        args = ["zeta", key[1], "--ring", key[2], "--values", str(values)]
+        monkeypatch.setattr(rings, "packed_dot", spy)
+    result = CliRunner().invoke(cli, args)
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED_KERNEL_OUTPUTS[key]
+    if key[0] == "zeta" and key[2] != "Q":
+        assert max(packed) > 1

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polysplit import rings
 from polysplit.rings import (
     IntegerRing,
     MathCheckError,
@@ -38,6 +39,7 @@ from polysplit.rings import (
     _dense_ints,
     _int_gcd,
     _pseudo_divmod,
+    packed_dot,
     packed_mul,
     power_sums,
     ring_from_token,
@@ -49,6 +51,7 @@ from polysplit.rings import (
     ser_mul,
     sparse_mul,
 )
+from polysplit.plethysm import forward_zeta, invert_zeta
 from polysplit.polysym import PolysymElement
 from polysplit.types import SplittingType, parse_type
 
@@ -685,6 +688,178 @@ def test_mpoly_string():
     ring = MPolyRing(2, names=("a", "b"))
     f = ring.add(ring.mul(ring.variable(0), ring.variable(0)), ring.variable(1))
     assert ring.show(f) == "a^2 + b"
+
+
+# MPoly keeps Poly's coefficient convention: against a reference that
+# computes on dicts of Fractions term by term, every operation, the Adams
+# operations and a zeta round trip agree, and no coefficient is stored as a
+# Fraction with denominator 1.
+
+
+class _FractionMPolyRing(RingDescriptor):
+    """MPolyRing's arithmetic on plain dicts of Fractions, one product and one
+    sum per pair of terms."""
+
+    def __init__(self, ring):
+        self.nvars = ring.nvars
+        self.monomial = ring.adams_mode == "monomial"
+
+    def from_int(self, n):
+        return {(0,) * self.nvars: Fraction(n)} if n else {}
+
+    def add(self, x, y):
+        out = dict(x)
+        for m, c in y.items():
+            out[m] = out.get(m, Fraction(0)) + c
+        return {m: c for m, c in out.items() if c}
+
+    def neg(self, x):
+        return {m: -c for m, c in x.items()}
+
+    def mul(self, x, y):
+        out = {}
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+        return {m: c for m, c in out.items() if c}
+
+    def adams(self, r, x):
+        return {tuple(e * r for e in m): c for m, c in x.items()} if self.monomial else x
+
+    def exact_div_by_int(self, x, d):
+        return {m: c / d for m, c in x.items()}
+
+
+def _canonical_mpoly(p):
+    """Assert that p stores an int exactly where a coefficient is integral,
+    and no zero; hand p back."""
+    for c in p.terms.values():
+        assert c and type(c) is (int if c.denominator == 1 else Fraction), p.terms
+    return p
+
+
+def _mixed_mpoly(rng):
+    """Three-variable terms whose coefficients are ints, Fractions, and
+    integral Fractions that the constructor must store as ints."""
+    kinds = (lambda: rng.randint(-9, 9), lambda: _seeded_fraction(rng),
+             lambda: Fraction(2 * rng.randint(-9, 9), 2))
+    return {tuple(rng.randint(0, 2) for _ in range(3)): rng.choice(kinds)()
+            for _ in range(rng.randint(0, 4))}
+
+
+@pytest.mark.parametrize("mode", ["trivial", "monomial"])
+@pytest.mark.parametrize("seed", range(4))
+def test_mpoly_matches_the_fraction_reference(mode, seed):
+    ring = MPolyRing(3, mode)
+    ref = _FractionMPolyRing(ring)
+    rng = random.Random(seed)
+    for _ in range(20):
+        a, b = _mixed_mpoly(rng), _mixed_mpoly(rng)
+        p, q = _canonical_mpoly(MPoly(3, a)), _canonical_mpoly(MPoly(3, b))
+        fa = {m: Fraction(c) for m, c in p.terms.items()}
+        fb = {m: Fraction(c) for m, c in q.terms.items()}
+        assert p.terms == fa and q.terms == fb
+        assert _canonical_mpoly(p + q).terms == ref.add(fa, fb)
+        assert _canonical_mpoly(p - q).terms == ref.add(fa, ref.neg(fb))
+        assert _canonical_mpoly(p * q).terms == ref.mul(fa, fb)
+        assert _canonical_mpoly(ring.mul(p, q)).terms == ref.mul(fa, fb)
+        for c in (0, 1, -3, Fraction(2, 3), Fraction(-6, 3)):
+            assert _canonical_mpoly(p.scale(c)).terms == ref.mul(fa, ref.from_int(c))
+        for r in (1, 2, 3):
+            assert _canonical_mpoly(p.power_substitute(r)).terms == \
+                {tuple(e * r for e in m): v for m, v in fa.items()}
+            assert _canonical_mpoly(ring.adams(r, p)).terms == ref.adams(r, fa)
+        for d in (1, 2, 3, -2):
+            assert _canonical_mpoly(ring.exact_div_by_int(p, d)).terms == \
+                ref.exact_div_by_int(fa, d)
+    for const in (MPoly.const(3, 4), MPoly.const(3, Fraction(8, 2)), ring.one(),
+                  ring.variable(1), MPoly.const(3, Fraction(1, 3))):
+        _canonical_mpoly(const)
+    assert MPoly.const(3, Fraction(8, 2)).terms == {(0, 0, 0): 4}
+
+
+@pytest.mark.parametrize("mode", ["trivial", "monomial"])
+@pytest.mark.parametrize("seed", range(3))
+def test_mpoly_zeta_round_trip_matches_the_fraction_reference(mode, seed):
+    ring = MPolyRing(3, mode)
+    ref = _FractionMPolyRing(ring)
+    rng = random.Random(seed)
+    us = [MPoly(3, _mixed_mpoly(rng)) for _ in range(5)]
+    ref_us = [{m: Fraction(c) for m, c in u.terms.items()} for u in us]
+    xs = forward_zeta(ring, us)
+    assert [_canonical_mpoly(x).terms for x in xs] == forward_zeta(ref, ref_us)
+    back = invert_zeta(ring, xs)
+    assert [_canonical_mpoly(u).terms for u in back] == invert_zeta(ref, forward_zeta(ref, ref_us))
+    assert back == us
+
+
+# ---------------------------------------------------------------------------
+# PolyRing.dot: one Kronecker-packed sum, against the default sum of products
+
+_DOT_POLY_RINGS = [PolyRing(integral=True), PolyRing(),
+                   PolyRing(integral=True, frobenius=False), PolyRing(frobenius=False)]
+
+
+def _dot_poly(rng, ring):
+    """A polynomial with zero to seven coefficients from a random lowest
+    exponent, gaps included; over Q the coefficients mix ints, small
+    Fractions and denominators past 2**80.  With Frobenius, it is sometimes
+    a (wider, sparser) Adams image."""
+    kinds = [lambda: rng.randint(-9, 9), lambda: rng.randint(-2**90, 2**90),
+             lambda: 0]
+    if not ring.integral:
+        kinds += [lambda: _seeded_fraction(rng),
+                  lambda: Fraction(rng.randint(-2**90, 2**90), rng.randint(1, 2**82))]
+    low = rng.randint(0, 6)
+    p = Poly({low + e: rng.choice(kinds)() for e in range(rng.randint(0, 7))})
+    return ring.adams(rng.randint(1, 3), p) if rng.random() < 0.3 else p
+
+
+@pytest.mark.parametrize("ring", _DOT_POLY_RINGS, ids=[r.name for r in _DOT_POLY_RINGS])
+@pytest.mark.parametrize("seed", range(4))
+def test_poly_ring_dot_matches_the_default(ring, seed):
+    rng = random.Random(seed)
+    assert ring.dot([], []) == ring.zero()
+    zero, w = ring.zero(), ring.variable()
+    assert ring.dot([zero], [w]) == zero and ring.dot([w, zero], [zero, w]) == zero
+    for length in (1, 1, 2, 3, 5, 12):
+        xs = [_dot_poly(rng, ring) for _ in range(length)]
+        ys = [_dot_poly(rng, ring) for _ in range(length)]
+        expected = RingDescriptor.dot(ring, xs, ys)
+        assert _canonical(ring.dot(xs, ys)) == expected
+        pairs = [(x.coeffs, y.coeffs) for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
+        if pairs:
+            assert packed_dot(pairs) == expected.coeffs
+
+
+def test_packed_dot_shifts_and_scales_each_product():
+    # w^3 * (w^2 / 3) + (1/2) * (w / 5) - w^5 / 3 - w / 10: each product has
+    # its own lowest exponent and its own denominator, and the sum cancels
+    pairs = [({3: 1}, {2: Fraction(1, 3), 4: 1}), ({0: Fraction(1, 2)}, {1: Fraction(1, 5)}),
+             ({5: -1}, {0: Fraction(1, 3)}), ({1: -1}, {0: Fraction(1, 10)})]
+    assert packed_dot(pairs) == {7: 1}
+    assert packed_dot(pairs[:2]) == {5: Fraction(1, 3), 7: 1, 1: Fraction(1, 10)}
+
+
+def test_poly_ring_dot_packs_only_dense_products(monkeypatch):
+    # terms at 0 and 1000 would need about 2,000 slots for 4 term pairs per
+    # product; the dense operands have 25 term pairs over 9 slots each
+    calls = []
+
+    def spy(pairs):
+        calls.append(len(pairs))
+        return packed_dot(pairs)
+
+    monkeypatch.setattr(rings, "packed_dot", spy)
+    for ring in _DOT_POLY_RINGS:
+        sparse = [Poly({0: 1, 1000: k}) for k in range(1, 4)]
+        assert ring.dot(sparse, sparse[::-1]) == RingDescriptor.dot(ring, sparse, sparse[::-1])
+        assert calls == []
+        dense = [Poly({e: k + e for e in range(5)}) for k in range(1, 4)]
+        assert ring.dot(dense, dense[::-1]) == RingDescriptor.dot(ring, dense, dense[::-1])
+        assert calls == [3] + [1] * 3  # one packed dot, then the reference's products
+        calls.clear()
 
 
 # ---------------------------------------------------------------------------
