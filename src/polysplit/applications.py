@@ -390,43 +390,24 @@ def _check_factorization(name, ring, xs, expected, upto):
     return {"row": name, "max_degree": upto, "checked": upto}
 
 
-def _row_partition_numbers(upto=12):
-    xs = [partition_count_bounded(k, k) for k in range(1, upto + 1)]
-    return _check_factorization("partition-numbers", IntegerRing(), xs,
-                                lambda d: 1, upto)
-
-
-def _row_type_counts(upto=12):
-    xs = hilbert_type_counts(upto)[1:]
-    return _check_factorization("type-counts", IntegerRing(), xs,
-                                lambda d: len(divisors(d)), upto)
-
-
-def _row_thue_morse(upto=16):
-    xs = [(-1) ** bin(k).count("1") for k in range(1, upto + 1)]
-    return _check_factorization(
-        "thue-morse", IntegerRing(), xs,
-        lambda d: -1 if d & (d - 1) == 0 else 0, upto)
-
-
-def _row_level_eleven(upto=22):
-    exponents = {d: (4 if d % 11 == 0 else 2) for d in range(1, upto + 1)}
-    xs = _product_one_minus(exponents, upto)[1:]
-    return _check_factorization(
-        "level-eleven", IntegerRing(), xs,
-        lambda d: -4 if d % 11 == 0 else -2, upto)
-
-
-def _row_discriminant(upto=12):
-    xs = _product_one_minus({d: 24 for d in range(1, upto + 1)}, upto)[1:]
-    return _check_factorization("discriminant", IntegerRing(), xs,
-                                lambda d: -24, upto)
-
-
-def _row_pentagonal(upto=15):
-    xs = _product_one_minus({d: 1 for d in range(1, upto + 1)}, upto)[1:]
-    return _check_factorization("pentagonal", IntegerRing(), xs,
-                                lambda d: -1, upto)
+# The rows inverted over Z: (row, default degree, x_1 .. x_upto from upto,
+# predicted u_d).
+_INTEGER_ROWS = (
+    ("partition-numbers", 12,
+     lambda upto: [partition_count_bounded(k, k) for k in range(1, upto + 1)], lambda d: 1),
+    ("type-counts", 12, lambda upto: hilbert_type_counts(upto)[1:], lambda d: len(divisors(d))),
+    ("thue-morse", 16, lambda upto: [(-1) ** bin(k).count("1") for k in range(1, upto + 1)],
+     lambda d: -1 if d & (d - 1) == 0 else 0),
+    ("level-eleven", 22, lambda upto: _product_one_minus(
+        {d: 4 if d % 11 == 0 else 2 for d in range(1, upto + 1)}, upto)[1:],
+     lambda d: -4 if d % 11 == 0 else -2),
+    ("discriminant", 12,
+     lambda upto: _product_one_minus(dict.fromkeys(range(1, upto + 1), 24), upto)[1:],
+     lambda d: -24),
+    ("pentagonal", 15,
+     lambda upto: _product_one_minus(dict.fromkeys(range(1, upto + 1), 1), upto)[1:],
+     lambda d: -1),
+)
 
 
 def _row_artin_hasse(p, upto=12):
@@ -472,17 +453,10 @@ def verify_factorization(max_degree=None):
     def cap(default):
         return default if max_degree is None else max(1, min(default, max_degree))
 
-    return [
-        _row_partition_numbers(cap(12)),
-        _row_type_counts(cap(12)),
-        _row_thue_morse(cap(16)),
-        _row_level_eleven(cap(22)),
-        _row_discriminant(cap(12)),
-        _row_pentagonal(cap(15)),
-        _row_artin_hasse(2, cap(12)),
-        _row_artin_hasse(3, cap(12)),
-        _row_cyclotomic(cap(12)),
-    ]
+    rows = [_check_factorization(name, IntegerRing(), xs(cap(upto)), expected, cap(upto))
+            for name, upto, xs, expected in _INTEGER_ROWS]
+    return rows + [_row_artin_hasse(2, cap(12)), _row_artin_hasse(3, cap(12)),
+                   _row_cyclotomic(cap(12))]
 
 
 # ---------------------------------------------------------------------------

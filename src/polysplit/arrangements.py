@@ -26,7 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .rings import MathCheckError, MPoly, check_range, format_rational, moebius, parse_rational
+from .rings import (MathCheckError, MPoly, check_range, format_rational, moebius,
+                    parse_rational, weighted_vectors)
 from .types import SplittingType, enumerate_types
 
 TABLE_TAGS = ("a", "e", "a_inv", "e_inv", "mobius")
@@ -49,24 +50,7 @@ def _column_fills(degs, c, n, residual, squarefree):
     """All row vectors v with sum v_i * degs[i] = c and v_i * n <= residual_i,
     in decreasing lexicographic order; entries are at most 1 if squarefree."""
     caps = [min(r // n, 1) if squarefree else r // n for r in residual]
-    fills = []
-    _extend_fill(degs, caps, [0] * len(degs), 0, c, fills)
-    return fills
-
-
-def _extend_fill(degs, caps, v, i, remaining, fills):
-    """Append to fills every vector that agrees with v before i and whose
-    entries from i on, each at most its cap, weigh remaining; larger
-    entries come first."""
-    if remaining == 0:
-        fills.append(tuple(v))
-        return
-    if i == len(degs):
-        return
-    for value in range(min(remaining // degs[i], caps[i]), -1, -1):
-        v[i] = value
-        _extend_fill(degs, caps, v, i + 1, remaining - value * degs[i], fills)
-    v[i] = 0
+    return weighted_vectors(degs, caps, c)
 
 
 class _Counter:
@@ -398,8 +382,8 @@ def caches_bypassed():
     """Within the block every ``incidence_table`` call, whoever makes it,
     uses a fresh in-memory store that reads and writes no disk cache and
     is dropped when the block ends: this is how the CLI's ``--no-cache``
-    reaches the tables behind every command, and what ``use_cache=False``
-    does for one call.  Inside it, each table is still built once."""
+    reaches the tables behind every command.  Inside it, each table is
+    still built once."""
     token = _store.set({})
     try:
         yield
@@ -458,7 +442,7 @@ def _store_cached_table(table):
         pass
 
 
-def incidence_table(d, tag, use_cache=True):
+def incidence_table(d, tag):
     """The incidence table of the given tag at degree d.
 
     Every table comes from the store of the current scope, and is built
@@ -468,15 +452,11 @@ def incidence_table(d, tag, use_cache=True):
     recomputed and overwritten.  An inverse table, or the Mobius function,
     is built by inverting its forward table taken from the same store, so
     on a cold cache it also stores that table.  Inside ``caches_bypassed()``
-    the store is a fresh dict that no disk backs; ``use_cache=False`` runs
-    one call in such a scope of its own.
+    the store is a fresh dict that no disk backs.
     """
     if tag not in TABLE_TAGS:
         raise ValueError("unknown table tag %r" % (tag,))
     check_range("table degree", d, MAX_TABLE_DEGREE)
-    if not use_cache:
-        with caches_bypassed():
-            return incidence_table(d, tag)
     store = _store.get()
     on_disk = store is None
     if on_disk:
@@ -618,7 +598,7 @@ def _extend_monomial(degrees, exps, i, remaining, out):
     """Append to out every exponent vector that agrees with exps before i
     and whose entries from i on weigh remaining, generator i weighing
     degrees[i]; smaller entries come first.  It recurses at module level,
-    as ``_extend_fill`` does, so a call leaves no reference cycle."""
+    so a call leaves no reference cycle."""
     if i == len(degrees):
         if remaining == 0:
             out.append(tuple(exps))

@@ -130,8 +130,7 @@ def symbolic_inverse(d):
     """u_1 ... u_d as polynomials in indeterminates x_1 ... x_d with all
     Adams operations trivial."""
     check_range("symbolic degree", d, MAX_SYMBOLIC_DEGREE)
-    names = tuple("x_%d" % k for k in range(1, d + 1))
-    ring = MPolyRing(d, adams_mode="trivial", names=names)
+    ring = MPolyRing(d, adams_mode="trivial")
     xs = [ring.variable(i) for i in range(d)]
     return ring, invert_zeta(ring, xs)
 

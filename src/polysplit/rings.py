@@ -68,34 +68,38 @@ def moebius(n):
     return result
 
 
+def weighted_vectors(weights, caps, total):
+    """Every vector v with sum v_i * weights[i] = total and 0 <= v_i <= caps[i],
+    as tuples in decreasing lexicographic order; weights are positive."""
+    out = []
+    _extend_vector(weights, caps, [0] * len(weights), 0, total, out)
+    return out
+
+
+def _extend_vector(weights, caps, v, i, remaining, out):
+    """Append to out every vector that agrees with v before i and whose
+    entries from i on, each at most its cap, weigh remaining, larger
+    entries first.  It recurses at module level: no reference cycle."""
+    if remaining == 0:
+        out.append(tuple(v))
+        return
+    if i == len(weights):
+        return
+    for value in range(min(remaining // weights[i], caps[i]), -1, -1):
+        v[i] = value
+        _extend_vector(weights, caps, v, i + 1, remaining - value * weights[i], out)
+    v[i] = 0
+
+
 def partitions(m):
-    """Yield all partitions of m as multiplicity tuples (n_1, ..., n_m).
+    """All partitions of m as multiplicity tuples (n_1, ..., n_m).
 
     n_k is the number of parts equal to k, so sum(k * n_k) = m.  The empty
-    tuple is yielded for m = 0.
+    tuple is the one partition of m = 0.
     """
     if m < 0:
         raise ValueError("partitions requires m >= 0")
-    if m == 0:
-        yield ()
-        return
-    for parts in _descending_parts(m, m):
-        mult = [0] * m
-        for p in parts:
-            mult[p - 1] += 1
-        yield tuple(mult)
-
-
-def _descending_parts(remaining, max_part):
-    """Yield the partitions of remaining into parts at most max_part, each
-    as a list of parts in decreasing order.  It recurses at module level,
-    so a call leaves no reference cycle."""
-    if remaining == 0:
-        yield []
-        return
-    for part in range(min(remaining, max_part), 0, -1):
-        for rest in _descending_parts(remaining - part, part):
-            yield [part] + rest
+    return weighted_vectors(range(1, m + 1), [m] * m, m)
 
 
 def partition_count_bounded(k, max_parts):
@@ -281,15 +285,45 @@ def show_terms(pairs):
     return " ".join(pieces) or "0"
 
 
+class _Terms:
+    """The term-dict body of Poly and MPoly over ``coeffs``; each class has
+    its own ``__init__``, ``_new`` and ``__mul__``."""
+
+    __slots__ = ("coeffs",)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        terms = add_terms(dict(self.coeffs), other.coeffs.items())
+        return self._new(_ints(terms, other.coeffs))
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._new(_scaled(self.coeffs, c))
+
+    def __eq__(self, other):
+        # a Poly never equals an MPoly
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+
 # ---------------------------------------------------------------------------
 # sparse univariate polynomials
 
 
-class Poly:
+class Poly(_Terms):
     """Sparse univariate polynomial over Q: an integral coefficient is an
     int, any other a Fraction, so a polynomial over Z computes on ints."""
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var",)
 
     def __init__(self, coeffs=None, var="w"):
         self.var = var
@@ -319,9 +353,6 @@ class Poly:
     def variable(cls, var="w"):
         return cls({1: 1}, var=var)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def degree(self):
         """Degree, with the zero polynomial mapped to -1."""
         return max(self.coeffs) if self.coeffs else -1
@@ -332,16 +363,6 @@ class Poly:
     def is_integral(self):
         return all(c.denominator == 1 for c in self.coeffs.values())
 
-    def __add__(self, other):
-        terms = add_terms(dict(self.coeffs), other.coeffs.items())
-        return self._new(_ints(terms, other.coeffs))
-
-    def __neg__(self):
-        return self._new({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
         # the schoolbook product costs one Fraction product per pair of
@@ -351,9 +372,6 @@ class Poly:
         if a and b and len(a) * len(b) > max(a) - min(a) + max(b) - min(b) + 1:
             return self._new(packed_mul(a, b))
         return self._new(_ints(sparse_mul(a, b, operator.add)))
-
-    def scale(self, c):
-        return self._new(_scaled(self.coeffs, c))
 
     def __pow__(self, n):
         if n < 0:
@@ -366,12 +384,6 @@ class Poly:
             base = base * base
             n >>= 1
         return result
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def substitute_power(self, r):
         """The Frobenius substitution w -> w^r."""
@@ -1102,12 +1114,12 @@ def _mono_mul(m1, m2):
     return tuple(map(operator.add, m1, m2))
 
 
-class MPoly:
+class MPoly(_Terms):
     """Multivariate polynomial over Q: a map from exponent tuples to
     coefficients, an int where integral and a Fraction only where not, as
     in :class:`Poly`."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -1120,13 +1132,13 @@ class MPoly:
                     if len(mono) != nvars:
                         raise ValueError("exponent tuple of wrong length")
                     clean[tuple(mono)] = c
-        self.terms = _ints(clean)
+        self.coeffs = _ints(clean)
 
-    def _new(self, terms):
+    def _new(self, coeffs):
         """A polynomial in as many variables over an already clean term dict."""
         result = MPoly.__new__(MPoly)
         result.nvars = self.nvars
-        result.terms = terms
+        result.coeffs = coeffs
         return result
 
     @classmethod
@@ -1139,43 +1151,21 @@ class MPoly:
         mono[i] = 1
         return cls(nvars, {tuple(mono): 1})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        terms = add_terms(dict(self.terms), other.terms.items())
-        return self._new(_ints(terms, other.terms))
-
-    def __neg__(self):
-        return self._new({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        return self._new(_ints(sparse_mul(self.terms, other.terms, _mono_mul)))
-
-    def scale(self, c):
-        return self._new(_scaled(self.terms, c))
+        return self._new(_ints(sparse_mul(self.coeffs, other.coeffs, _mono_mul)))
 
     def power_substitute(self, r):
         """Raise every variable to the r-th power (monomial Adams)."""
-        return self._new({tuple(e * r for e in m): c for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, MPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return self._new({tuple(e * r for e in m): c for m, c in self.coeffs.items()})
 
     def to_string(self, names):
         def text(m):
             return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, m) if e)
-        order = sorted(self.terms, key=lambda m: (-sum(m), tuple(-e for e in m)))
-        return show_terms((text(m), self.terms[m]) for m in order)
+        order = sorted(self.coeffs, key=lambda m: (-sum(m), tuple(-e for e in m)))
+        return show_terms((text(m), self.coeffs[m]) for m in order)
 
     def __repr__(self):
-        return f"MPoly({self.nvars}, {self.terms!r})"
+        return f"MPoly({self.nvars}, {self.coeffs!r})"
 
 
 class MPolyRing(RingDescriptor):
@@ -1207,7 +1197,7 @@ class MPolyRing(RingDescriptor):
         return x.power_substitute(r)
 
     def exact_div_by_int(self, x, d):
-        return x._new(_over(x.terms.items(), d))
+        return x._new(_over(x.coeffs.items(), d))
 
     def show(self, x):
         return x.to_string(self.names)

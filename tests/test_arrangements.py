@@ -20,6 +20,12 @@ def T(text):
     return parse_type(text)
 
 
+def _fresh_table(d, tag):
+    """The table built in a store of its own, with no memory or disk cache."""
+    with arr.caches_bypassed():
+        return arr.incidence_table(d, tag)
+
+
 # ---------------------------------------------------------------------------
 # an independent counting oracle
 #
@@ -98,12 +104,12 @@ def test_table_rows_match_oracle(tag):
     # The table builder walks every row with one memo shared by the whole
     # table; single-pair counts above never share it.
     squarefree = tag == "e"
-    table = arr.incidence_table(6, tag, use_cache=False)
+    table = _fresh_table(6, tag)
     for tau in table.types:
         for lam in table.types:
             assert table.value(tau, lam) == oracle_count(tau, lam, squarefree), \
                 (tau.label(), lam.label())
-    table = arr.incidence_table(7, tag, use_cache=False)
+    table = _fresh_table(7, tag)
     for tau in random.Random(17).sample(table.types, 5):
         for lam in table.types:
             assert table.value(tau, lam) == oracle_count(tau, lam, squarefree), \
@@ -252,7 +258,7 @@ def test_arrangement_json():
 @pytest.mark.parametrize("degree", arr.REFERENCE_TABLE_DEGREES)
 @pytest.mark.parametrize("tag", ["a", "a_inv", "mobius"])
 def test_tables_match_reference(degree, tag):
-    computed = arr.incidence_table(degree, tag, use_cache=False)
+    computed = _fresh_table(degree, tag)
     reference = arr.reference_table(degree, tag)
     assert set(computed.types) == set(reference.types)
     for tau in computed.types:
@@ -262,7 +268,7 @@ def test_tables_match_reference(degree, tag):
 
 
 def test_table_json_round_trip():
-    table = arr.incidence_table(3, "a_inv", use_cache=False)
+    table = _fresh_table(3, "a_inv")
     again = arr.IncidenceTable.from_json(table.to_json())
     assert again.types == table.types
     assert again.entries == table.entries
@@ -270,7 +276,7 @@ def test_table_json_round_trip():
 
 
 def test_table_rejects_bad_json():
-    table = arr.incidence_table(2, "a", use_cache=False).to_json()
+    table = _fresh_table(2, "a").to_json()
     bad = dict(table, tag="nonsense")
     with pytest.raises(ValueError):
         arr.IncidenceTable.from_json(bad)
@@ -282,8 +288,8 @@ def test_table_rejects_bad_json():
 def test_inverse_tables_are_two_sided_inverses():
     for d in range(2, 8):
         types = list(enumerate_types(d))
-        a = arr.incidence_table(d, "a", use_cache=False)
-        inv = arr.incidence_table(d, "a_inv", use_cache=False)
+        a = _fresh_table(d, "a")
+        inv = _fresh_table(d, "a_inv")
         for i, tau in enumerate(types):
             for j, lam in enumerate(types):
                 left = sum(a.value(tau, kappa) * inv.value(kappa, lam)
@@ -297,8 +303,8 @@ def test_inverse_tables_are_two_sided_inverses():
 def test_squarefree_inverse_table():
     for d in range(2, 6):
         types = list(enumerate_types(d))
-        e = arr.incidence_table(d, "e", use_cache=False)
-        inv = arr.incidence_table(d, "e_inv", use_cache=False)
+        e = _fresh_table(d, "e")
+        inv = _fresh_table(d, "e_inv")
         for i, tau in enumerate(types):
             for j, lam in enumerate(types):
                 total = sum(e.value(tau, kappa) * inv.value(kappa, lam)
@@ -309,7 +315,7 @@ def test_squarefree_inverse_table():
 def test_mobius_inverts_zeta():
     for d in range(2, 8):
         types = list(enumerate_types(d))
-        mob = arr.incidence_table(d, "mobius", use_cache=False)
+        mob = _fresh_table(d, "mobius")
         for i, tau in enumerate(types):
             for j, lam in enumerate(types):
                 total = sum(mob.value(tau, kappa)
@@ -355,7 +361,7 @@ def test_integer_inverter_rejects_an_entry_outside_z_over_scale():
     with pytest.raises(MathCheckError, match="outside"):
         _inverse([[1, 2], [0, 7]], 6)
     assert _inverse([[1, 2], [0, 3]], 6) == [[6, -4], [0, 2]]
-    inv = arr.incidence_table(6, "a_inv", use_cache=False)
+    inv = _fresh_table(6, "a_inv")
     assert all(type(x) is Fraction for row in inv.entries for x in row)
 
 
@@ -419,7 +425,7 @@ PINNED_TABLE_HASHES_9_10 = {
 
 
 def _table_hash(d, tag):
-    text = json.dumps(arr.incidence_table(d, tag, use_cache=False).to_json(), sort_keys=True)
+    text = json.dumps(_fresh_table(d, tag).to_json(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -706,12 +712,12 @@ def test_one_walk_per_forward_table_in_a_store(monkeypatch):
 def test_disk_cache_can_be_bypassed(tmp_path, monkeypatch):
     monkeypatch.setenv("POLYSPLIT_CACHE_DIR", str(tmp_path))
     arr._memory_tables.clear()
-    arr.incidence_table(2, "a", use_cache=False)
+    _fresh_table(2, "a")
     assert list(tmp_path.iterdir()) == []
     # the memory cache is bypassed too: a fresh table, nothing stored
     cached = arr.incidence_table(2, "a")
     before = dict(arr._memory_tables)
-    fresh = arr.incidence_table(2, "a", use_cache=False)
+    fresh = _fresh_table(2, "a")
     assert fresh is not cached and fresh.entries == cached.entries
     assert arr._memory_tables == before
     arr._memory_tables.clear()

@@ -68,13 +68,8 @@ ALLOWED = {
     "polysym.pairing": "acceptance criterion 11",
     "polysym.power_element": "the P basis vector in M; test_polysym checks it",
     # rings
-    "rings.MPoly.__hash__": DATA_MODEL,
     "rings.MPoly.__repr__": DATA_MODEL,
-    "rings.MPoly.__sub__": DATA_MODEL,
-    "rings.MPoly.is_zero": "element API used by the ring tests",
     "rings.MPolyRing.show": "ring API: text of an element with the ring's variable names",
-    "rings.Poly.__eq__": DATA_MODEL,
-    "rings.Poly.__hash__": DATA_MODEL,
     "rings.Poly.__repr__": DATA_MODEL,
     "rings.Poly.leading_coeff": "element API used by the ring tests",
     "rings.PolyRing.variable": "ring API: the generator w, used by acceptance criterion 11",
@@ -99,6 +94,7 @@ ALLOWED = {
     "rings.WittElement.ghost": ZETA_RINGS + "; acceptance criterion 11",
     "rings.WittElement.truncate": ZETA_RINGS,
     "rings.WittRing.eq": "equality over the smaller truncation order; the zeta round-trip tests",
+    "rings._Terms.__hash__": DATA_MODEL,
     "rings.poly_gcd": "monic gcd over Q; test_rings checks it against a reference gcd",
     "rings.ser_exp": PERFBENCH,
     "rings.ser_inv": PERFBENCH,

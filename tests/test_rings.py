@@ -1,5 +1,6 @@
 """Ring descriptors, polynomial and series arithmetic, Witt vectors."""
 
+import itertools
 import math
 import operator
 import random
@@ -86,6 +87,69 @@ def test_partitions_weights():
     for m in range(8):
         for mult in partitions(m):
             assert sum((j + 1) * n for j, n in enumerate(mult)) == m
+
+
+def _reference_partitions(m, largest):
+    """The partitions of m into parts at most largest, each a list of
+    parts in decreasing order."""
+    if m == 0:
+        return [[]]
+    return [[part] + rest for part in range(min(m, largest), 0, -1)
+            for rest in _reference_partitions(m - part, part)]
+
+
+def test_partitions_match_a_reference_enumerator():
+    numbers = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
+    for m, count in enumerate(numbers):
+        got = partitions(m)
+        assert len(got) == len(set(got)) == count
+        assert set(got) == {tuple(parts.count(k) for k in range(1, m + 1))
+                            for parts in _reference_partitions(m, m)}
+
+
+UNBOUNDED = 10**9
+
+
+def _reference_vectors(weights, caps, total):
+    """The weighted vectors by brute force, in decreasing lexicographic order."""
+    ranges = [range(min(cap, total) + 1) for cap in caps]
+    return sorted((v for v in itertools.product(*ranges)
+                   if sum(x * w for x, w in zip(v, weights)) == total), reverse=True)
+
+
+def test_weighted_vectors_match_a_product_filter():
+    rng = random.Random(22)
+    for length in range(5):
+        for cap in (0, 1, UNBOUNDED, None):
+            for _ in range(5):
+                weights = [rng.randint(1, 4) for _ in range(length)]
+                # None draws a cap of 0, 1 or unbounded for each entry
+                caps = [rng.choice((0, 1, UNBOUNDED)) if cap is None else cap
+                        for _ in range(length)]
+                for total in range(8):
+                    assert rings.weighted_vectors(weights, caps, total) == \
+                        _reference_vectors(weights, caps, total), (weights, caps, total)
+
+
+def test_weighted_vectors_edge_cases_and_order():
+    assert rings.weighted_vectors([], [], 0) == [()]
+    assert rings.weighted_vectors([3, 1], [0, 0], 0) == [(0, 0)]
+    assert rings.weighted_vectors([], [], 2) == []
+    assert rings.weighted_vectors([2, 4], [UNBOUNDED] * 2, 7) == []
+    assert rings.weighted_vectors([1, 1], [1, 1], 3) == []
+    # decreasing lexicographic order, the order arr tilings prints
+    assert rings.weighted_vectors([1, 2, 1], [UNBOUNDED, 1, 2], 3) == [
+        (3, 0, 0), (2, 0, 1), (1, 1, 0), (1, 0, 2), (0, 1, 1)]
+
+
+def test_poly_and_mpoly_share_one_type_strict_body():
+    shared = {"is_zero", "__add__", "__neg__", "__sub__", "scale", "__eq__", "__hash__"}
+    assert not shared & (set(vars(Poly)) | set(vars(MPoly)))
+    assert Poly({0: 1}) != MPoly(1, {(0,): 1})
+    assert MPoly(1, {(0,): 1}) != Poly({0: 1})
+    assert Poly() != MPoly(1)  # both term dicts are empty
+    assert Poly({0: Fraction(2)}) == Poly({0: 2})
+    assert hash(Poly({0: Fraction(2)})) == hash(Poly({0: 2}))
 
 
 def test_partition_count_bounded():
@@ -734,8 +798,8 @@ class _FractionMPolyRing(RingDescriptor):
 def _canonical_mpoly(p):
     """Assert that p stores an int exactly where a coefficient is integral,
     and no zero; hand p back."""
-    for c in p.terms.values():
-        assert c and type(c) is (int if c.denominator == 1 else Fraction), p.terms
+    for c in p.coeffs.values():
+        assert c and type(c) is (int if c.denominator == 1 else Fraction), p.coeffs
     return p
 
 
@@ -757,26 +821,26 @@ def test_mpoly_matches_the_fraction_reference(mode, seed):
     for _ in range(20):
         a, b = _mixed_mpoly(rng), _mixed_mpoly(rng)
         p, q = _canonical_mpoly(MPoly(3, a)), _canonical_mpoly(MPoly(3, b))
-        fa = {m: Fraction(c) for m, c in p.terms.items()}
-        fb = {m: Fraction(c) for m, c in q.terms.items()}
-        assert p.terms == fa and q.terms == fb
-        assert _canonical_mpoly(p + q).terms == ref.add(fa, fb)
-        assert _canonical_mpoly(p - q).terms == ref.add(fa, ref.neg(fb))
-        assert _canonical_mpoly(p * q).terms == ref.mul(fa, fb)
-        assert _canonical_mpoly(ring.mul(p, q)).terms == ref.mul(fa, fb)
+        fa = {m: Fraction(c) for m, c in p.coeffs.items()}
+        fb = {m: Fraction(c) for m, c in q.coeffs.items()}
+        assert p.coeffs == fa and q.coeffs == fb
+        assert _canonical_mpoly(p + q).coeffs == ref.add(fa, fb)
+        assert _canonical_mpoly(p - q).coeffs == ref.add(fa, ref.neg(fb))
+        assert _canonical_mpoly(p * q).coeffs == ref.mul(fa, fb)
+        assert _canonical_mpoly(ring.mul(p, q)).coeffs == ref.mul(fa, fb)
         for c in (0, 1, -3, Fraction(2, 3), Fraction(-6, 3)):
-            assert _canonical_mpoly(p.scale(c)).terms == ref.mul(fa, ref.from_int(c))
+            assert _canonical_mpoly(p.scale(c)).coeffs == ref.mul(fa, ref.from_int(c))
         for r in (1, 2, 3):
-            assert _canonical_mpoly(p.power_substitute(r)).terms == \
+            assert _canonical_mpoly(p.power_substitute(r)).coeffs == \
                 {tuple(e * r for e in m): v for m, v in fa.items()}
-            assert _canonical_mpoly(ring.adams(r, p)).terms == ref.adams(r, fa)
+            assert _canonical_mpoly(ring.adams(r, p)).coeffs == ref.adams(r, fa)
         for d in (1, 2, 3, -2):
-            assert _canonical_mpoly(ring.exact_div_by_int(p, d)).terms == \
+            assert _canonical_mpoly(ring.exact_div_by_int(p, d)).coeffs == \
                 ref.exact_div_by_int(fa, d)
     for const in (MPoly.const(3, 4), MPoly.const(3, Fraction(8, 2)), ring.one(),
                   ring.variable(1), MPoly.const(3, Fraction(1, 3))):
         _canonical_mpoly(const)
-    assert MPoly.const(3, Fraction(8, 2)).terms == {(0, 0, 0): 4}
+    assert MPoly.const(3, Fraction(8, 2)).coeffs == {(0, 0, 0): 4}
 
 
 @pytest.mark.parametrize("mode", ["trivial", "monomial"])
@@ -786,11 +850,11 @@ def test_mpoly_zeta_round_trip_matches_the_fraction_reference(mode, seed):
     ref = _FractionMPolyRing(ring)
     rng = random.Random(seed)
     us = [MPoly(3, _mixed_mpoly(rng)) for _ in range(5)]
-    ref_us = [{m: Fraction(c) for m, c in u.terms.items()} for u in us]
+    ref_us = [{m: Fraction(c) for m, c in u.coeffs.items()} for u in us]
     xs = forward_zeta(ring, us)
-    assert [_canonical_mpoly(x).terms for x in xs] == forward_zeta(ref, ref_us)
+    assert [_canonical_mpoly(x).coeffs for x in xs] == forward_zeta(ref, ref_us)
     back = invert_zeta(ring, xs)
-    assert [_canonical_mpoly(u).terms for u in back] == invert_zeta(ref, forward_zeta(ref, ref_us))
+    assert [_canonical_mpoly(u).coeffs for u in back] == invert_zeta(ref, forward_zeta(ref, ref_us))
     assert back == us
 
 
@@ -896,7 +960,7 @@ _MPOLY_TERMS = st.dictionaries(_MONOMIALS, _RATIONALS, max_size=6)
 
 def _mpoly_at(p, point):
     total = Fraction(0)
-    for mono, c in p.terms.items():
+    for mono, c in p.coeffs.items():
         for x, e in zip(point, mono):
             c *= x**e
         total += c
@@ -923,7 +987,7 @@ def test_mpoly_sums_and_products_agree_with_evaluation(a, b, point):
                      (p - q, _mpoly_at(p, point) - _mpoly_at(q, point)),
                      (p * q, _mpoly_at(p, point) * _mpoly_at(q, point))):
         assert _mpoly_at(r, point) == value
-        assert all(r.terms.values())
+        assert all(r.coeffs.values())
     assert (p - p).is_zero()
 
 
