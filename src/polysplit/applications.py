@@ -34,6 +34,7 @@ from .rings import (
     RationalFunctionRing,
     check_range,
     divisors,
+    euler_product,
     from_power_sums,
     moebius,
     partition_count_bounded,
@@ -350,19 +351,6 @@ def mass_identity(d):
 # verified product factorizations
 
 
-def _product_one_minus(exponents, upto):
-    """Integer coefficients of prod_d (1 - t^d)^(e_d) up to degree upto."""
-    coeffs = [0] * (upto + 1)
-    coeffs[0] = 1
-    for d, e in sorted(exponents.items()):
-        if d < 1 or e < 0:
-            raise ValueError("factors must have positive degree and exponent")
-        for _ in range(e):
-            for k in range(upto, d - 1, -1):
-                coeffs[k] -= coeffs[k - d]
-    return coeffs
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic(n):
     """The n-th cyclotomic polynomial in y, by exact division."""
@@ -398,14 +386,14 @@ _INTEGER_ROWS = (
     ("type-counts", 12, lambda upto: hilbert_type_counts(upto)[1:], lambda d: len(divisors(d))),
     ("thue-morse", 16, lambda upto: [(-1) ** bin(k).count("1") for k in range(1, upto + 1)],
      lambda d: -1 if d & (d - 1) == 0 else 0),
-    ("level-eleven", 22, lambda upto: _product_one_minus(
+    ("level-eleven", 22, lambda upto: euler_product(
         {d: 4 if d % 11 == 0 else 2 for d in range(1, upto + 1)}, upto)[1:],
      lambda d: -4 if d % 11 == 0 else -2),
     ("discriminant", 12,
-     lambda upto: _product_one_minus(dict.fromkeys(range(1, upto + 1), 24), upto)[1:],
+     lambda upto: euler_product(dict.fromkeys(range(1, upto + 1), 24), upto)[1:],
      lambda d: -24),
     ("pentagonal", 15,
-     lambda upto: _product_one_minus(dict.fromkeys(range(1, upto + 1), 1), upto)[1:],
+     lambda upto: euler_product(dict.fromkeys(range(1, upto + 1), 1), upto)[1:],
      lambda d: -1),
 )
 

@@ -148,9 +148,6 @@ class Arrangement:
         self.lam = lam
         self.matrix = tuple(tuple(row) for row in matrix)
 
-    def is_squarefree(self):
-        return all(entry <= 1 for row in self.matrix for entry in row)
-
     def to_json(self):
         return {
             "tau": self.tau.to_json(),

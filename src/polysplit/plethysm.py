@@ -61,26 +61,11 @@ def _rational_combination(ring, pairs, context):
     pairs = [(Fraction(c), v) for c, v in pairs if c]
     if not pairs:
         return ring.zero()
-    scale = 1
-    for c, _v in pairs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    scale = math.lcm(*[c.denominator for c, _ in pairs])
     total = ring.sum(ring.scalar_mul_int(int(c * scale), v) for c, v in pairs)
     if scale == 1:
         return total
     return exact_div(ring, total, scale, context)
-
-
-# ---------------------------------------------------------------------------
-# Newton polynomials
-
-
-def newton_poly(m):
-    """The m-th power sum written in the first m complete symmetric
-    functions, as a polynomial in variables h_1 ... h_m."""
-    if m < 1:
-        raise ValueError("Newton polynomials are indexed from 1")
-    ring = MPolyRing(m)
-    return power_sums(ring, [ring.variable(i) for i in range(m)], m)[m - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -58,15 +58,8 @@ class PolysymElement:
         self.terms = clean
 
     @classmethod
-    def zero(cls, basis="M"):
-        return cls(basis)
-
-    @classmethod
-    def monomial(cls, basis, tau, coeff=1):
-        return cls(basis, {tau: Fraction(coeff)})
-
-    def is_zero(self):
-        return not self.terms
+    def monomial(cls, basis, tau):
+        return cls(basis, {tau: 1})
 
     def degrees(self):
         return sorted({tau.degree() for tau in self.terms})
@@ -242,11 +235,6 @@ def power_basis(d):
         raise ValueError("power elements are indexed by positive degrees")
     return PolysymElement(
         "M", {SplittingType([(k, d // k)]): Fraction(k) for k in divisors(d)})
-
-
-def power_element(tau):
-    """The power element of an arbitrary type, in the monomial basis."""
-    return convert(PolysymElement.monomial("P", tau), "M")
 
 
 def pairing(left, right):

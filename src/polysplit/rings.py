@@ -102,19 +102,28 @@ def partitions(m):
     return weighted_vectors(range(1, m + 1), [m] * m, m)
 
 
+def euler_product(exponents, upto):
+    """Integer coefficients through t^upto of prod_d (1 - t^d)^(e_d) for
+    exponents {d: e_d}, d >= 1.  A positive e_d multiplies, by descending
+    differences; a negative one divides, by ascending prefix sums with
+    stride d, since 1/(1 - t^d) = sum t^(jd)."""
+    coeffs = [1] + [0] * upto
+    for d, e in exponents.items():
+        if d < 1:
+            raise ValueError("factors must have positive degree")
+        for _ in range(e):
+            for k in range(upto, d - 1, -1):
+                coeffs[k] -= coeffs[k - d]
+        for _ in range(-e):
+            for k in range(d, upto + 1):
+                coeffs[k] += coeffs[k - d]
+    return coeffs
+
+
 def partition_count_bounded(k, max_parts):
-    """Number of partitions of k into at most max_parts parts."""
-    if k == 0:
-        return 1
-    if max_parts <= 0:
-        return 0
-    # table[j] = partitions of j into parts of the sizes admitted so far,
-    # counting conjugates: at most max_parts parts == largest part <= max_parts
-    table = [1] + [0] * k
-    for part in range(1, max_parts + 1):
-        for j in range(part, k + 1):
-            table[j] += table[j - part]
-    return table[k]
+    """Number of partitions of k into at most max_parts parts: by conjugation,
+    into parts of size at most max_parts."""
+    return euler_product(dict.fromkeys(range(1, max_parts + 1), -1), k)[k]
 
 
 def check_range(what, value, cap):
@@ -357,9 +366,6 @@ class Poly(_Terms):
         """Degree, with the zero polynomial mapped to -1."""
         return max(self.coeffs) if self.coeffs else -1
 
-    def leading_coeff(self):
-        return self.coeffs[self.degree()] if self.coeffs else 0
-
     def is_integral(self):
         return all(c.denominator == 1 for c in self.coeffs.values())
 
@@ -501,14 +507,6 @@ def poly_divmod(a, b):
     s, q, r = _pseudo_divmod(dense_a, dense_b)
     return (_dense_over(a, [c * den_b for c in q], s * den_a),
             _dense_over(a, r, s * den_a))
-
-
-def poly_gcd(a, b):
-    """Monic greatest common divisor over Q."""
-    if a.is_zero() and b.is_zero():
-        return a
-    g = _int_gcd(_dense_ints(a)[1], _dense_ints(b)[1])
-    return _dense_over(a, g, g[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -820,9 +818,6 @@ class RingDescriptor:
     def eq(self, x, y):
         return x == y
 
-    def is_zero(self, x):
-        return self.eq(x, self.zero())
-
     def adams(self, r, x):
         self._check_r(r)
         return x
@@ -852,9 +847,6 @@ class RingDescriptor:
 
     def from_json(self, obj):
         raise NotImplementedError
-
-    def show(self, x):
-        return str(x)
 
     def _check_r(self, r):
         if r < 1:
@@ -1176,12 +1168,12 @@ class MPolyRing(RingDescriptor):
     the Adams structure of a free commutative monoid algebra.
     """
 
-    def __init__(self, nvars, adams_mode="trivial", names=None):
+    def __init__(self, nvars, adams_mode="trivial"):
         if adams_mode not in ("trivial", "monomial"):
             raise ValueError("adams_mode must be 'trivial' or 'monomial'")
         self.nvars = nvars
         self.adams_mode = adams_mode
-        self.names = list(names) if names else [f"x_{i + 1}" for i in range(nvars)]
+        self.names = [f"x_{i + 1}" for i in range(nvars)]
         self.name = f"mpoly{nvars}-{adams_mode}"
 
     def variable(self, i):
@@ -1198,9 +1190,6 @@ class MPolyRing(RingDescriptor):
 
     def exact_div_by_int(self, x, d):
         return x._new(_over(x.coeffs.items(), d))
-
-    def show(self, x):
-        return x.to_string(self.names)
 
 
 # ---------------------------------------------------------------------------

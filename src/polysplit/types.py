@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .rings import divisors
+from .rings import divisors, euler_product
 
 
 class SplittingType:
@@ -72,9 +72,6 @@ class SplittingType:
         """The common multiplicity m if the type is m-pure, else None."""
         mults = {m for _, m in self.parts}
         return mults.pop() if len(mults) == 1 else None
-
-    def is_mixed(self):
-        return self.pure_multiplicity() is None
 
     def slot_multiplicities(self, p):
         """Counts (n_1, ..., n_d) where n_j = number of parts (p, j); d = degree."""
@@ -197,13 +194,7 @@ def hilbert_type_counts(N):
 
     The t^d coefficient is the number of types of degree d.
     """
-    coeffs = [1] + [0] * N
-    for k in range(1, N + 1):
-        for _ in range(len(divisors(k))):
-            # multiply by 1/(1 - t^k): prefix-sum with stride k
-            for j in range(k, N + 1):
-                coeffs[j] += coeffs[j - k]
-    return coeffs
+    return euler_product({k: -len(divisors(k)) for k in range(1, N + 1)}, N)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import pytest
 from polysplit import arrangements, rings
 from polysplit.applications import (
     _cyclotomic,
-    _product_one_minus,
     _sl_closed_value,
     inverse_polya,
     inverse_sum_checks,
@@ -43,6 +42,7 @@ from polysplit.rings import (
     WittElement,
     WittRing,
     divisors,
+    euler_product,
     moebius,
     packed_dot,
 )
@@ -581,12 +581,12 @@ def test_inverse_sum_checks_run():
 
 
 def test_discriminant_coefficients_are_classical():
-    coeffs = _product_one_minus({d: 24 for d in range(1, 6)}, 5)
+    coeffs = euler_product({d: 24 for d in range(1, 6)}, 5)
     assert coeffs[:5] == [1, -24, 252, -1472, 4830]
 
 
 def test_pentagonal_coefficients():
-    coeffs = _product_one_minus({d: 1 for d in range(1, 16)}, 15)
+    coeffs = euler_product({d: 1 for d in range(1, 16)}, 15)
     expected = [0] * 16
     for j in (0, 5, 7):
         expected[j] = 1

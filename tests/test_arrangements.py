@@ -217,7 +217,7 @@ def test_enumeration_agrees_with_counts():
         assert len(set(found)) == len(found)
         square = arr.enumerate_arrangements(tau, lam, squarefree=True)
         assert len(square) == arr.count_arrangements(tau, lam, squarefree=True)
-        assert all(a.is_squarefree() for a in square)
+        assert all(x <= 1 for a in square for row in a.matrix for x in row)
 
 
 def test_arrangement_constraints_hold():

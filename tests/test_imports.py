@@ -42,6 +42,37 @@ def test_the_scan_sees_a_private_import(tmp_path):
                                         ("polysplit.rings", "_ZERO")]
 
 
+def _unused_imports(path):
+    """Every name the file imports and never reads, in import order;
+    ``from __future__ import annotations`` is a compiler directive, not a name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_every_imported_name_is_used():
+    unused = {path.name: _unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_the_scan_sees_an_unused_import(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("from __future__ import annotations\n"
+                      "import math\n"
+                      "import os.path\n"
+                      "from fractions import Fraction as F\n"
+                      "from .rings import divisors, moebius\n"
+                      "def f(n) -> F:\n"
+                      "    return os.path.join(str(moebius(n)))\n")
+    assert _unused_imports(source) == ["math", "divisors"]
+
+
 # ---------------------------------------------------------------------------
 # what a fresh process loads
 

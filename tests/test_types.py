@@ -93,8 +93,7 @@ def test_purity():
     assert not T("1^2 2").is_unramified()
     assert T("1^2 3^2").pure_multiplicity() == 2
     assert T("1^2 3").pure_multiplicity() is None
-    assert T("1^2 3").is_mixed()
-    assert not T("2^3").is_mixed()
+    assert T("2^3").pure_multiplicity() == 3
 
 
 def test_slot_multiplicities():
