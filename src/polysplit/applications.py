@@ -76,7 +76,7 @@ def _forms_count(n, k):
 
 def _projective_space(ring, dim_plus_one):
     """1 + w + ... + w^(N-1) in the polynomial ring, where N = dim_plus_one."""
-    return Poly(dict.fromkeys(range(dim_plus_one), 1), var=ring.var)
+    return ring.zero()._new(dict.fromkeys(range(dim_plus_one), 1))
 
 
 def irr_hypersurface(n, d, measure="motive", q=None):

@@ -343,6 +343,8 @@ def charvar_sl(degree, rank, mode):
 @click.option("--max-degree", type=int, default=None)
 def verify_cmd(suite, max_degree):
     """Re-run a verification suite; any mismatch exits with code 2."""
+    if max_degree is not None and max_degree < 1:
+        raise ValueError("max degree must be at least 1")
     if suite == "appendix":
         from .arrangements import verify_appendix
 

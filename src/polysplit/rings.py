@@ -182,13 +182,20 @@ def add_terms(out, pairs):
     return out
 
 
-def sparse_mul(a, b, combine):
-    """Product of the term dicts a and b, whose keys multiply by ``combine``."""
+def sparse_dot(pairs, combine):
+    """Sum of the products a * b over the (a, b) pairs of term dicts, whose
+    keys multiply by ``combine``, in one term dict."""
     out = {}
-    items = b.items()
-    for k1, c1 in a.items():
-        add_terms(out, [(combine(k1, k2), c1 * c2) for k2, c2 in items])
+    for a, b in pairs:
+        items = b.items()
+        for k1, c1 in a.items():
+            add_terms(out, [(combine(k1, k2), c1 * c2) for k2, c2 in items])
     return out
+
+
+def sparse_mul(a, b, combine):
+    """Product of the term dicts a and b: the one-pair :func:`sparse_dot`."""
+    return sparse_dot([(a, b)], combine)
 
 
 def _ints(terms, keys=None):
@@ -497,6 +504,25 @@ def _int_gcd(a, b):
     return a
 
 
+def _exact_quo(p, g):
+    """p / g for a Poly p that the primitive dense int list g divides: by
+    Gauss's lemma the quotient is integral, so no pseudo-division step scales."""
+    den, dense = _dense_ints(p)
+    return _dense_over(p, _pseudo_divmod(dense, g)[1], den)
+
+
+def _cancel(p, q):
+    """(p / g, q / g) for g a primitive gcd of the Polys p and q, q nonzero."""
+    g = _int_gcd(_dense_ints(p)[1], _dense_ints(q)[1])
+    return (p, q) if len(g) == 1 else (_exact_quo(p, g), _exact_quo(q, g))
+
+
+def _monic(num, den):
+    """(num / c, den / c) for c the leading coefficient of den."""
+    c = den.coeffs[den.degree()]
+    return (num, den) if c == 1 else (num.scale(1 / Fraction(c)), den.scale(1 / Fraction(c)))
+
+
 def poly_divmod(a, b):
     """Polynomial division with remainder over Q."""
     if b.is_zero():
@@ -526,21 +552,7 @@ class RatFunc:
             den = Poly.const(1, var=num.var)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        den_n, dense_n = _dense_ints(num)
-        den_d, dense_d = _dense_ints(den)
-        if not dense_n:
-            dense_d = [1]
-        elif len(dense_d) > 1:
-            # g is primitive, so by Gauss's lemma both quotients by g are
-            # integral and their pseudo-divisions never scale (s = 1)
-            g = _int_gcd(dense_n, dense_d)
-            if len(g) > 1:
-                dense_n = _pseudo_divmod(dense_n, g)[1]
-                dense_d = _pseudo_divmod(dense_d, g)[1]
-        # num / den = (dense_n * den_d) / (dense_d * den_n); den made monic
-        lead = dense_d[-1]
-        self.num = _dense_over(num, [c * den_d for c in dense_n], lead * den_n)
-        self.den = _dense_over(den, dense_d, lead)
+        self.num, self.den = _monic(*_cancel(num, den))
 
     @classmethod
     def _new(cls, num, den):
@@ -566,7 +578,20 @@ class RatFunc:
         return self.num
 
     def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        # Henrici: for g = gcd(b, d), a/b + c/d = t / (b' d) with b' = b/g, d' = d/g
+        # and t = a d' + c b', which shares only h = gcd(t, g) with b' d
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = _int_gcd(_dense_ints(b)[1], _dense_ints(d)[1])
+        if len(g) == 1:
+            return RatFunc._new(a * d + c * b, b * d)
+        b1 = _exact_quo(b, g)
+        t = a * _exact_quo(d, g) + c * b1
+        if t.is_zero():
+            return RatFunc.from_poly(t)
+        h = _int_gcd(_dense_ints(t)[1], g)
+        if len(h) > 1:
+            t, d = _exact_quo(t, h), _exact_quo(d, h)
+        return RatFunc._new(*_monic(t, b1 * d))
 
     def __neg__(self):
         return RatFunc._new(-self.num, self.den)
@@ -575,7 +600,12 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other):
-        return RatFunc(self.num * other.num, self.den * other.den)
+        # a/b * c/d with gcd(a, d) and gcd(c, b) cancelled first
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return self if a.is_zero() else other
+        (a, d), (c, b) = _cancel(a, d), _cancel(c, b)
+        return RatFunc._new(*_monic(a * c, b * d))
 
     def inverse(self):
         if self.is_zero():
@@ -583,7 +613,9 @@ class RatFunc:
         return RatFunc(self.den, self.num)
 
     def substitute_power(self, r):
-        return RatFunc(self.num.substitute_power(r), self.den.substitute_power(r))
+        # w -> w^r maps a Bezout identity u num + v den = 1 to one for the
+        # images, and a monic denominator to a monic one
+        return RatFunc._new(self.num.substitute_power(r), self.den.substitute_power(r))
 
     def __eq__(self, other):
         return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
@@ -786,10 +818,10 @@ class RingDescriptor:
     default to the elements' own operators and method; ``adams`` defaults to
     the trivial operation.  ``dot(xs, ys)``, the sum of the products
     ``xs[i] * ys[i]`` (zero for empty lists), defaults to ``sum`` over
-    ``mul``; override it only with an exact equivalent.  Four rings do: Z
-    (one int sum), Q (one common denominator), the pair ring (one int sum
-    per component) and the polynomial rings (one Kronecker-packed sum,
-    :func:`packed_dot`, when the products are dense).
+    ``mul``; override it only with an exact equivalent.  Z (one int sum), Q
+    (one common denominator), the pair ring (one int sum per component) and
+    the Poly and MPoly rings (one term dict, :func:`sparse_dot`, or for dense
+    Poly products one Kronecker-packed sum, :func:`packed_dot`) do.
     """
 
     name = "abstract"
@@ -959,7 +991,7 @@ class PolyRing(RingDescriptor):
         if (sum(len(a) * len(b) for a, b in pairs)
                 > sum(max(a) - min(a) + max(b) - min(b) + 1 for a, b in pairs)):
             return xs[0]._new(packed_dot(pairs))
-        return RingDescriptor.dot(self, xs, ys)
+        return (xs[0] if xs else self.zero())._new(_ints(sparse_dot(pairs, operator.add)))
 
     def adams(self, r, x):
         self._check_r(r)
@@ -1181,6 +1213,12 @@ class MPolyRing(RingDescriptor):
 
     def from_int(self, n):
         return MPoly.const(self.nvars, n)
+
+    sum = PolyRing.sum
+
+    def dot(self, xs, ys):
+        pairs = [(x.coeffs, y.coeffs) for x, y in zip(xs, ys)]
+        return self.zero()._new(_ints(sparse_dot(pairs, _mono_mul)))
 
     def adams(self, r, x):
         self._check_r(r)

@@ -508,6 +508,13 @@ def test_verify_suites_pass(capsys, suite, flags):
                for line in out.strip().splitlines())
 
 
+@pytest.mark.parametrize("suite", ["appendix", "figure1", "identities", "oracles"])
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_verify_rejects_a_max_degree_below_one(capsys, suite, degree):
+    code, out, err = run(capsys, "verify", suite, "--max-degree", degree)
+    assert (code, out, err) == (1, "", "error: max degree must be at least 1\n")
+
+
 # SHA-256 of the stdout of the full `--no-cache verify appendix` (with its
 # `top-column ... entries=N` lines) and of `verify identities`, recorded
 # when the top column had its own Fraction back substitution

@@ -1,6 +1,8 @@
 """Ring descriptors, polynomial and series arithmetic, Witt vectors."""
 
+import hashlib
 import itertools
+import json
 import math
 import operator
 import random
@@ -51,6 +53,7 @@ from polysplit.rings import (
     ser_inv,
     ser_log,
     ser_mul,
+    sparse_dot,
     sparse_mul,
 )
 from polysplit.plethysm import forward_zeta, invert_zeta
@@ -1282,6 +1285,116 @@ def test_ratfunc_ring_divides_the_numerator_once():
     assert third.num.coeffs == {1: 2, 0: Fraction(1, 6)} and third.den == x.den
     _canonical(third.num)
     assert ring.exact_div_by_int(x, -2).num.coeffs == {1: -3, 0: Fraction(-1, 4)}
+
+
+# ---------------------------------------------------------------------------
+# RatFunc sums and products by Henrici's formulas, against the normal form
+# of the full numerator and denominator taken from scratch
+
+_RF_PART = st.dictionaries(st.integers(0, 3), _SMALL, max_size=4).map(Poly)
+_RF_NONZERO = _RF_PART.filter(lambda p: not p.is_zero())
+
+
+def _from_scratch(num, den):
+    f = RatFunc(num, den)
+    _canonical(f.num), _canonical(f.den)
+    assert _lead(f.den) == 1
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RF_PART, _RF_NONZERO, _RF_PART, _RF_NONZERO, _RF_NONZERO, st.integers(1, 3))
+@example(Poly({1: 1}), Poly({0: 1}), Poly({1: -1}), Poly({0: 1}), Poly({0: 1}), 1)  # w + (-w)
+@example(Poly({0: 1}), Poly({1: 1, 0: -1}), Poly({0: 2}), Poly({1: 1, 0: 1}),
+         Poly({1: 1, 0: -1}), 2)                   # (w - 1)^2 against (w + 1)(w - 1)
+@example(Poly({0: 1}), Poly({1: 1, 0: -1}), Poly({0: 1}), Poly({1: 1, 0: 1}),
+         Poly({1: 1}), 1)                          # t = 2w shares w with g = gcd(b, d)
+@example(Poly({1: Fraction(3, 4)}), Poly({2: Fraction(-2, 3), 0: 1}), Poly({0: Fraction(1, 5)}),
+         Poly({1: Fraction(5, 7)}), Poly({1: Fraction(-1, 2), 0: 3}), 3)  # non-monic Fractions
+@example(Poly({1: 1, 0: 1}), Poly({0: 1}), Poly({1: 1, 0: -1}), Poly({0: 1}),
+         Poly({1: 1, 0: 1}), 2)                    # a numerator shares the other's denominator
+def test_ratfunc_arithmetic_matches_the_normal_form_from_scratch(a, b, c, d, f, r):
+    x, y = RatFunc(a, b * f), RatFunc(c, d * f)  # denominators sharing a factor f
+    constant = RatFunc(c, Poly({0: Fraction(-3, 7)}))
+    cases = [(x, y), (x, x), (x, -x), (y, x), (x, constant), (constant, y),
+             (x.substitute_power(r), y.substitute_power(r)),  # psi_r images
+             (x.substitute_power(r), y), (RatFunc.from_poly(a), y)]
+    for p, q in cases:
+        assert p + q == _from_scratch(p.num * q.den + q.num * p.den, p.den * q.den)
+        assert p - q == _from_scratch(p.num * q.den - q.num * p.den, p.den * q.den)
+        assert p * q == _from_scratch(p.num * q.num, p.den * q.den)
+        for z in (p + q, p - q, p * q):
+            _canonical(z.num), _canonical(z.den)
+        assert p.substitute_power(r) == _from_scratch(p.num.substitute_power(r),
+                                                      p.den.substitute_power(r))
+    assert (x - x).is_zero() and (x - x).den.coeffs == {0: 1}
+
+
+def _random_ratfuncs(count):
+    """Rational functions from Random(2022) with degree-2 Fraction parts,
+    each denominator drawn first and redrawn while zero."""
+    rng = random.Random(2022)
+
+    def part():
+        return Poly({e: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for e in range(3)})
+
+    values = []
+    for _ in range(count):
+        den = part()
+        while den.is_zero():
+            den = part()
+        values.append(RatFunc(part(), den))
+    return values
+
+
+def test_ratfunc_zeta_of_six_random_values_round_trips_in_time():
+    # the forward denominators reach degree 96; a full gcd of every sum
+    # took over 8 s for the round trip, Henrici's formulas well under a second
+    ring = RationalFunctionRing()
+    us = _random_ratfuncs(6)
+    start = time.perf_counter()
+    xs = forward_zeta(ring, us)
+    back = invert_zeta(ring, xs)
+    assert time.perf_counter() - start < 5
+    assert back == us
+    # recorded with the full-gcd normal form of every sum and product
+    text = json.dumps([x.to_json() for x in xs], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "aa4210c820672bd30ed89c9cdc2bc0ab0897e01fd697fd3ae0c7aeabd085b6f9"
+
+
+# ---------------------------------------------------------------------------
+# the sparse dot product: one term dict for a sum of products
+
+@pytest.mark.parametrize("mode", ["trivial", "monomial"])
+@pytest.mark.parametrize("seed", range(4))
+def test_mpoly_ring_dot_and_sum_match_the_default(mode, seed):
+    ring = MPolyRing(3, mode)
+    rng = random.Random(seed)
+    assert ring.dot([], []) == ring.zero() and ring.sum([]) == ring.zero()
+    for length in (1, 2, 3, 6, 12):
+        xs = [MPoly(3, _mixed_mpoly(rng)) for _ in range(length)]
+        ys = [ring.adams(rng.randint(1, 2), MPoly(3, _mixed_mpoly(rng))) for _ in range(length)]
+        assert _canonical_mpoly(ring.dot(xs, ys)) == RingDescriptor.dot(ring, xs, ys)
+        assert _canonical_mpoly(ring.sum(xs)) == RingDescriptor.sum(ring, xs)
+        cancelled = xs + [-x for x in xs]
+        assert ring.sum(cancelled).is_zero() and ring.dot(cancelled, ys + ys).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_dot_is_the_sum_of_its_products(seed):
+    rng = random.Random(seed)
+    assert sparse_dot([], operator.add) == {}
+    for length in (1, 2, 5):
+        pairs = [(_mixed_mpoly(rng), _mixed_mpoly(rng)) for _ in range(length)]
+        pairs += [({}, pairs[0][1]), (pairs[0][0], {})]  # empty operands
+        a, b = pairs[0]
+        pairs.append(({m: -c for m, c in a.items()}, b))  # cancels the first product
+        expected = {}
+        for a, b in pairs:
+            add_terms(expected, sparse_mul(a, b, rings._mono_mul).items())
+        assert sparse_dot(pairs, rings._mono_mul) == expected
+        assert all(expected.values())
 
 
 # ---------------------------------------------------------------------------
