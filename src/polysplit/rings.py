@@ -199,7 +199,11 @@ def sparse_mul(a, b, combine):
 
 
 def _ints(terms, keys=None):
-    """Turn the integral Fractions of terms (at keys, or all) into ints in place."""
+    """Turn the integral Fractions of terms (at keys, or all) into ints in
+    place; with no Fraction among those values it returns at once."""
+    values = terms.values() if keys is None else map(terms.get, keys)
+    if Fraction not in set(map(type, values)):
+        return terms
     for e in terms if keys is None else keys:
         c = terms.get(e)
         if type(c) is Fraction and c.denominator == 1:
@@ -214,18 +218,6 @@ def _scaled(terms, c):
     return _ints({k: v * c for k, v in terms.items()}) if c else {}
 
 
-def _integer_terms(terms):
-    """A nonempty term dict over Q with int keys as (lcm of the denominators,
-    lowest key, dense list of the numerators over that lcm from the lowest
-    key to the highest, zero in every gap)."""
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    low = min(terms)
-    dense = [0] * (max(terms) - low + 1)
-    for e, c in terms.items():
-        dense[e - low] = c.numerator * (den // c.denominator)
-    return den, low, dense
-
-
 def _half_slots(count, width):
     """The int with half the slot base, 2**(8 * width - 1), in each of
     ``count`` slots of ``width`` bytes."""
@@ -234,12 +226,14 @@ def _half_slots(count, width):
 
 def packed_dot(pairs):
     """Sum of the products a * b over a nonempty list of (a, b) pairs of
-    nonempty term dicts over Q with int keys, by Kronecker substitution:
-    every operand, its denominators cleared, is packed into one int with a
-    slot of ``width`` bytes per exponent, each pair's packed product is
-    scaled to one common denominator (the lcm of the products'
+    nonzero Polys, as a term dict, by Kronecker substitution: every
+    operand's integer form (:meth:`Poly._integer_form`) is packed into one
+    int with a slot of ``width`` bytes per exponent, each pair's packed
+    product is scaled to one common denominator (the lcm of the products'
     denominators) and shifted by its lowest exponent, and the slots of the
-    packed sum are read back once.
+    packed sum are read back once.  Each operand keeps its last pack, so the
+    operands that a Newton series reuses from degree to degree are packed
+    once per slot width, not once per degree.
 
     A slot holds any |c| < 2**(8 * width - 1); no coefficient of one product
     exceeds max|a| * max|b| * min(len(a), len(b)), so none of the sum exceeds
@@ -247,36 +241,28 @@ def packed_dot(pairs):
     slot base to every slot makes each one nonnegative, so neither packing nor
     unpacking carries between slots.
     """
-    products = []  # (denominator, lowest key, dense a, dense b, bound on term pairs)
+    products = []  # (denominator, lowest key, a, b, bound on the product, slot count)
     for a, b in pairs:
-        (den_a, low_a, dense_a), (den_b, low_b, dense_b) = _integer_terms(a), _integer_terms(b)
-        products.append((den_a * den_b, low_a + low_b, dense_a, dense_b, min(len(a), len(b))))
+        den_a, low_a, dense_a, top_a, *_ = a._integer_form()
+        den_b, low_b, dense_b, top_b, *_ = b._integer_form()
+        products.append((den_a * den_b, low_a + low_b, a, b,
+                         top_a * top_b * min(len(a.coeffs), len(b.coeffs)),
+                         len(dense_a) + len(dense_b) - 1))
     den = math.lcm(*[d for d, *_ in products])
     low = min(lo for _, lo, *_ in products)
     bound = count = 0
-    for d, lo, dense_a, dense_b, term_pairs in products:
-        bound += max(map(abs, dense_a)) * max(map(abs, dense_b)) * term_pairs * (den // d)
-        count = max(count, lo - low + len(dense_a) + len(dense_b) - 1)
+    for d, lo, _, _, top, span in products:
+        bound += top * (den // d)
+        count = max(count, lo - low + span)
     width = bound.bit_length() // 8 + 1
-    half = 1 << (8 * width - 1)
-
-    def pack(dense):
-        raw = b"".join([(c + half).to_bytes(width, "little") for c in dense])
-        return int.from_bytes(raw, "little") - _half_slots(len(dense), width)
-
     total = _half_slots(count, width)
-    for d, lo, dense_a, dense_b, _ in products:
-        total += pack(dense_a) * pack(dense_b) * (den // d) << 8 * width * (lo - low)
+    for d, lo, a, b, *_ in products:
+        total += a._packed(width) * b._packed(width) * (den // d) << 8 * width * (lo - low)
     raw = total.to_bytes(count * width, "little")
+    half = 1 << (8 * width - 1)
     slots = [(low + i, int.from_bytes(raw[i * width:(i + 1) * width], "little") - half)
              for i in range(count)]
     return _over([(e, c) for e, c in slots if c], den)
-
-
-def packed_mul(a, b):
-    """Product of two nonempty term dicts over Q with int keys: the one-pair
-    :func:`packed_dot`."""
-    return packed_dot([(a, b)])
 
 
 def show_terms(pairs):
@@ -337,9 +323,14 @@ class _Terms:
 
 class Poly(_Terms):
     """Sparse univariate polynomial over Q: an integral coefficient is an
-    int, any other a Fraction, so a polynomial over Z computes on ints."""
+    int, any other a Fraction, so a polynomial over Z computes on ints.
 
-    __slots__ = ("var",)
+    ``_form`` keeps the integer form that the packed products and the gcd
+    steps read, built on first use (:meth:`_integer_form`) together with
+    the last Kronecker pack; it stays valid because no code changes
+    ``coeffs`` after ``__init__`` or ``_new``."""
+
+    __slots__ = ("var", "_form")
 
     def __init__(self, coeffs=None, var="w"):
         self.var = var
@@ -353,13 +344,41 @@ class Poly(_Terms):
                         raise ValueError("negative exponent in polynomial")
                     clean[int(exp)] = c
         self.coeffs = _ints(clean)
+        self._form = None
 
     def _new(self, coeffs):
         """A polynomial in the same variable over an already clean term dict."""
         result = Poly.__new__(Poly)
         result.var = self.var
         result.coeffs = coeffs
+        result._form = None
         return result
+
+    def _integer_form(self):
+        """(lcm D of the denominators, lowest exponent, dense list of the
+        numerators over D from the lowest exponent to the highest, zero in
+        every gap, largest |numerator|, slot width of the last pack, that
+        pack) of a nonzero polynomial; no pack is made yet at width 0."""
+        if self._form is None:
+            terms = self.coeffs
+            den = math.lcm(*[c.denominator for c in terms.values()])
+            low = min(terms)
+            dense = [0] * (max(terms) - low + 1)
+            for e, c in terms.items():
+                dense[e - low] = c.numerator * (den // c.denominator)
+            self._form = (den, low, dense, max(map(abs, dense)), 0, 0)
+        return self._form
+
+    def _packed(self, width):
+        """The dense numerators in one int, a slot of ``width`` bytes each
+        (see :func:`packed_dot`); kept until a pack at another width."""
+        den, low, dense, top, last, packed = self._integer_form()
+        if last != width:
+            half = 1 << (8 * width - 1)
+            raw = b"".join([(c + half).to_bytes(width, "little") for c in dense])
+            packed = int.from_bytes(raw, "little") - _half_slots(len(dense), width)
+            self._form = (den, low, dense, top, width, packed)
+        return packed
 
     @classmethod
     def const(cls, c, var="w"):
@@ -383,7 +402,7 @@ class Poly(_Terms):
         # the result: pack only when the pairs outnumber the slots (never
         # for a one-term operand, nor for few terms over a wide span)
         if a and b and len(a) * len(b) > max(a) - min(a) + max(b) - min(b) + 1:
-            return self._new(packed_mul(a, b))
+            return self._new(packed_dot([(self, other)]))
         return self._new(_ints(sparse_mul(a, b, operator.add)))
 
     def __pow__(self, n):
@@ -440,7 +459,7 @@ def _dense_ints(p):
     D is the lcm of the denominators of p; (1, []) for the zero polynomial."""
     if not p.coeffs:
         return 1, []
-    den, low, dense = _integer_terms(p.coeffs)
+    den, low, dense, *_ = p._integer_form()
     return den, [0] * low + dense
 
 
@@ -987,11 +1006,12 @@ class PolyRing(RingDescriptor):
         # Poly.__mul__'s rule summed over the pairs: pack the whole sum when
         # its term pairs outnumber the exponent slots of its products, so
         # that wide sparse operands (Frobenius images) stay sparse
-        pairs = [(x.coeffs, y.coeffs) for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
-        if (sum(len(a) * len(b) for a, b in pairs)
-                > sum(max(a) - min(a) + max(b) - min(b) + 1 for a, b in pairs)):
+        pairs = [(x, y) for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
+        terms = [(x.coeffs, y.coeffs) for x, y in pairs]
+        if (sum(len(a) * len(b) for a, b in terms)
+                > sum(max(a) - min(a) + max(b) - min(b) + 1 for a, b in terms)):
             return xs[0]._new(packed_dot(pairs))
-        return (xs[0] if xs else self.zero())._new(_ints(sparse_dot(pairs, operator.add)))
+        return (xs[0] if xs else self.zero())._new(_ints(sparse_dot(terms, operator.add)))
 
     def adams(self, r, x):
         self._check_r(r)

@@ -149,7 +149,7 @@ def test_witt_ghost_route_covers_packed_products(monkeypatch):
     widest = []
 
     def spy(pairs):
-        widest.append(max(max(len(a), len(b)) for a, b in pairs))
+        widest.append(max(max(len(a.coeffs), len(b.coeffs)) for a, b in pairs))
         return packed_dot(pairs)
 
     monkeypatch.setattr(rings, "packed_dot", spy)

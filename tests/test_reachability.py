@@ -40,11 +40,12 @@ ALLOWED = {
     "arrangements.top_stratum_inverse": "the paper's closed form; acceptance criterion 3 "
                                         "and the tables-cold output check",
     # plethysm
-    "plethysm.binomial_strata": "paper formula; acceptance criterion 11 "
-                                "(ROADMAP item 1 routes it to a strata command)",
+    "plethysm.binomial_strata": "paper formula; acceptance criterion 11 (a command "
+                                "`strata --values FILE --degree D` would route it)",
     "plethysm.multinomial": "the multinomial classes behind binomial_strata",
-    "plethysm.generic_plethysm": "the abstract's general plethysm "
-                                 "(ROADMAP item 6 routes it to a polysym action)",
+    "plethysm.generic_plethysm": "the abstract's general plethysm (an action "
+                                 "`polysym plethysm --element FILE --values FILE` "
+                                 "would route it)",
     "plethysm.powerfree": "paper formula; acceptance criterion 11",
     "plethysm._powerfree_class": "part of powerfree",
     "plethysm._x_product": "part of powerfree",

@@ -1,10 +1,12 @@
 """Ring descriptors, polynomial and series arithmetic, Witt vectors."""
 
+import ast
 import hashlib
 import itertools
 import json
 import math
 import operator
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -44,7 +46,6 @@ from polysplit.rings import (
     _int_gcd,
     _pseudo_divmod,
     packed_dot,
-    packed_mul,
     power_sums,
     ring_from_token,
     RING_TOKENS,
@@ -946,7 +947,7 @@ def test_poly_ring_dot_matches_the_default(ring, seed):
         ys = [_dot_poly(rng, ring) for _ in range(length)]
         expected = RingDescriptor.dot(ring, xs, ys)
         assert _canonical(ring.dot(xs, ys)) == expected
-        pairs = [(x.coeffs, y.coeffs) for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
+        pairs = [(x, y) for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
         if pairs:
             assert packed_dot(pairs) == expected.coeffs
 
@@ -954,8 +955,9 @@ def test_poly_ring_dot_matches_the_default(ring, seed):
 def test_packed_dot_shifts_and_scales_each_product():
     # w^3 * (w^2 / 3) + (1/2) * (w / 5) - w^5 / 3 - w / 10: each product has
     # its own lowest exponent and its own denominator, and the sum cancels
-    pairs = [({3: 1}, {2: Fraction(1, 3), 4: 1}), ({0: Fraction(1, 2)}, {1: Fraction(1, 5)}),
-             ({5: -1}, {0: Fraction(1, 3)}), ({1: -1}, {0: Fraction(1, 10)})]
+    pairs = [(Poly(a), Poly(b)) for a, b in [
+        ({3: 1}, {2: Fraction(1, 3), 4: 1}), ({0: Fraction(1, 2)}, {1: Fraction(1, 5)}),
+        ({5: -1}, {0: Fraction(1, 3)}), ({1: -1}, {0: Fraction(1, 10)})]]
     assert packed_dot(pairs) == {7: 1}
     assert packed_dot(pairs[:2]) == {5: Fraction(1, 3), 7: 1, 1: Fraction(1, 10)}
 
@@ -978,6 +980,152 @@ def test_poly_ring_dot_packs_only_dense_products(monkeypatch):
         assert ring.dot(dense, dense[::-1]) == RingDescriptor.dot(ring, dense, dense[::-1])
         assert calls == [3] + [1] * 3  # one packed dot, then the reference's products
         calls.clear()
+
+
+# ---------------------------------------------------------------------------
+# the integer form and last pack that each Poly keeps, against fresh copies
+
+
+def _fresh(x):
+    """A copy of a Poly or RatFunc that shares no integer form or pack with x."""
+    if isinstance(x, RatFunc):
+        return RatFunc._new(_fresh(x.num), _fresh(x.den))
+    return Poly(dict(x.coeffs), var=x.var)
+
+
+class _FreshDot:
+    """The ring, except that every dot is the default sum of products over
+    fresh copies, so no operand brings a pack from an earlier degree."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)
+
+    def dot(self, xs, ys):
+        return RingDescriptor.dot(self.ring, [_fresh(x) for x in xs], [_fresh(y) for y in ys])
+
+
+_FORM_RINGS = [PolyRing(integral=True), PolyRing(), PolyRing(frobenius=False),
+               RationalFunctionRing()]
+
+
+@pytest.mark.parametrize("ring", _FORM_RINGS, ids=[r.name for r in _FORM_RINGS])
+def test_newton_kernel_matches_the_default_dot_on_fresh_copies(ring):
+    # every degree of the kernel reuses the operands of the degree before,
+    # each with the pack it kept, at slot widths that grow with the degree
+    rng = random.Random(26)
+
+    def poly():
+        if ring.name == "polyZ":
+            return Poly({e: rng.randint(-9, 9) for e in range(4)})
+        return Poly({e: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for e in range(4)})
+
+    if ring.name == "ratfunc":
+        xs = [RatFunc(poly(), Poly({0: 1, 1: rng.randint(1, 5)})) for _ in range(4)]
+    else:
+        xs = [poly() for _ in range(10)]
+    n = len(xs)
+    ps = power_sums(ring, xs, n)
+    assert ps == power_sums(_FreshDot(ring), [_fresh(x) for x in xs], n)
+    back = from_power_sums(ring, ps, n)
+    assert back == from_power_sums(_FreshDot(ring), [_fresh(p) for p in ps], n)
+    assert back == xs
+    parts = [y for x in xs for y in (x.num, x.den)] if ring.name == "ratfunc" else xs
+    assert any(p._form and p._form[4] for p in parts)  # some operand kept a pack
+
+
+def test_a_poly_packed_at_two_widths_multiplies_like_a_fresh_copy():
+    p = Poly({e: e + 1 for e in range(6)})
+    small = Poly({e: 1 for e in range(4)})  # one-byte slots
+    large = Poly({e: 2**70 + e for e in range(4)})  # ten-byte slots
+    widths = []
+    for q in (small, large, small, large):
+        product = p * q
+        widths.append(p._form[4])
+        assert product == _fresh(p) * _fresh(q)
+        assert product.coeffs == sparse_mul(p.coeffs, q.coeffs, operator.add)
+    assert widths[0] == widths[2] < widths[1] == widths[3]
+    ring = PolyRing()
+    assert ring.dot([p, p], [small, large]) == RingDescriptor.dot(ring, [_fresh(p)] * 2,
+                                                                  [small, large])
+
+
+_IN_PLACE_HELPERS = {"add_terms", "_ints"}
+_DICT_WRITES = {"update", "pop", "popitem", "clear", "setdefault"}
+
+
+def _coeffs_writes(source):
+    """(function, line) for every write to a ``coeffs`` attribute or its dict
+    outside ``__init__`` and ``_new``: an assignment, augmented assignment or
+    ``del`` of ``x.coeffs`` or ``x.coeffs[k]``, a mutating dict method of
+    ``x.coeffs``, or ``x.coeffs`` as the first argument of an in-place
+    helper.  A Poly's kept integer form is sound only without them."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def is_coeffs(node):
+        return isinstance(node, ast.Attribute) and node.attr == "coeffs"
+
+    def written(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(written(t) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return written(target.value)
+        return is_coeffs(target) or isinstance(target, ast.Subscript) and is_coeffs(target.value)
+
+    def function(node):
+        while node in parents:
+            node = parents[node]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                return node.name
+        return "<module>"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            hit = any(written(t) for t in node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            hit = written(node.target)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            hit = (isinstance(f, ast.Attribute) and f.attr in _DICT_WRITES and is_coeffs(f.value)
+                   or isinstance(f, ast.Name) and f.id in _IN_PLACE_HELPERS
+                   and bool(node.args) and is_coeffs(node.args[0]))
+        else:
+            continue
+        if hit and function(node) not in ("__init__", "_new"):
+            found.append((function(node), node.lineno))
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_no_code_writes_a_coeffs_dict_after_construction():
+    package = pathlib.Path(rings.__file__).parent
+    found = {path.name: _coeffs_writes(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: writes for name, writes in found.items() if writes} == {}
+
+
+def test_the_scan_sees_every_coeffs_write():
+    source = ("class P:\n"
+              "    def __init__(self, c):\n"
+              "        self.coeffs = c\n"
+              "        self.coeffs[0] = 1\n"
+              "    def _new(self, c):\n"
+              "        r = P(c); r.coeffs = _ints(c); return r\n"
+              "    def scale(self, k, other):\n"
+              "        self.coeffs = {}\n"
+              "        self.coeffs[1] += k\n"
+              "        del self.coeffs[2]\n"
+              "        other.coeffs.update({3: k})\n"
+              "        add_terms(self.coeffs, [(4, k)])\n"
+              "        _ints(other.coeffs, self.coeffs)\n"
+              "        return dict(self.coeffs), add_terms({}, self.coeffs.items())\n"
+              "p.coeffs, q = {}, 1\n")
+    assert _coeffs_writes(source) == [("scale", 8), ("scale", 9), ("scale", 10),
+                                      ("scale", 11), ("scale", 12), ("scale", 13),
+                                      ("<module>", 15)]
 
 
 # ---------------------------------------------------------------------------
@@ -1076,7 +1224,7 @@ def test_poly_product_matches_the_schoolbook_product(a, b):
     assert product == expected
     assert all(product.values())
     if p.coeffs and q.coeffs:
-        packed = packed_mul(p.coeffs, q.coeffs)
+        packed = packed_dot([(p, q)])
         assert packed == expected
         assert all(packed.values())
         assert all(type(c) is (int if c.denominator == 1 else Fraction)
@@ -1162,7 +1310,7 @@ def test_poly_coefficients_are_ints_exactly_when_integral(a, b, c, r, d):
     assert _canonical(p - q).coeffs == _plus(fp, {e: -v for e, v in fq.items()})
     assert _canonical(p * q).coeffs == sparse_mul(fp, fq, operator.add)
     if p.coeffs and q.coeffs:
-        assert _canonical(p._new(packed_mul(p.coeffs, q.coeffs))).coeffs == \
+        assert _canonical(p._new(packed_dot([(p, q)]))).coeffs == \
             sparse_mul(fp, fq, operator.add)
     assert _canonical(p.scale(c)).coeffs == sparse_mul(fp, {0: Fraction(c)}, operator.add)
     assert _canonical(p.substitute_power(r)).coeffs == {e * r: v for e, v in fp.items()}
