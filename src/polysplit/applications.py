@@ -62,6 +62,9 @@ MAX_SL_DEGREE = 5
 MAX_SL_RANK = 4
 MAX_REAL_EULER_DIM = 8
 MAX_REAL_EULER_ORDER = 16
+# a field size q is checked to be a prime power exactly below this bound, by
+# Miller-Rabin with the first twelve primes as bases
+MAX_FIELD_SIZE = 2**64
 MAX_MASS_DEGREE = 12
 
 
@@ -79,6 +82,40 @@ def _projective_space(ring, dim_plus_one):
     return ring.zero()._new(dict.fromkeys(range(dim_plus_one), 1))
 
 
+def _is_prime(n):
+    """Whether 1 < n < MAX_FIELD_SIZE is prime: Miller-Rabin to the first
+    twelve prime bases, which decides every n below 3 * 10**23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases or any(n % a == 0 for a in bases):
+        return n in bases
+    odd, twos = n - 1, 0
+    while not odd & 1:
+        odd, twos = odd >> 1, twos + 1
+    for a in bases:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_prime_power(q):
+    """Whether q = p^k for a prime p and k >= 1, for 1 <= q < MAX_FIELD_SIZE:
+    the k-th root of q for the largest k that has one must be prime."""
+    for k in range(q.bit_length(), 0, -1):
+        root = 1 << -(-q.bit_length() // k)  # integer Newton from above
+        while (step := ((k - 1) * root + q // root ** (k - 1)) // k) < root:
+            root = step
+        if root > 1 and root**k == q:
+            return _is_prime(root)
+    return False
+
+
 def irr_hypersurface(n, d, measure="motive", q=None):
     """Measure of the irreducible degree-d hypersurfaces in n-space.
 
@@ -93,7 +130,8 @@ def irr_hypersurface(n, d, measure="motive", q=None):
     * ``count``:     number of hypersurfaces irreducible over a field with
                      q elements (trivial Adams operations), a polynomial
                      in q with (possibly) fractional coefficients; passing
-                     ``q`` evaluates it exactly and checks it is an integer.
+                     ``q``, a prime power below 2^64, evaluates it exactly
+                     and checks it is an integer.
     * ``euler``:     integer Euler characteristic.
     * ``rcc``:       pair (point measure, Euler measure) in Z x Z.
     * ``realeuler``: Euler measure of the real locus; the sequence is
@@ -105,6 +143,8 @@ def irr_hypersurface(n, d, measure="motive", q=None):
         raise ValueError("unknown hypersurface measure %r" % (measure,))
     if q is not None and measure != "count":
         raise ValueError("q is only meaningful for the count measure")
+    if q is not None and not (1 <= q < MAX_FIELD_SIZE and _is_prime_power(q)):
+        raise ValueError("q must be a prime power below 2^64, got %d" % q)
 
     if measure in ("motive", "epoly"):
         ring = PolyRing(var="w", integral=True, frobenius=True)

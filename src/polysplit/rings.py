@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
+from array import array
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
 
 
 class MathCheckError(ValueError):
@@ -224,6 +227,43 @@ def _half_slots(count, width):
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
+# the native order of the words of an array, least significant first
+_LITTLE = sys.byteorder == "little"
+
+
+def _pack(dense, width):
+    """The int sum of dense[i] * 2**(8 * width * i) for slot values in
+    [-2**(8 * width - 1), 2**(8 * width - 1)).  One-word slots go through an
+    array of two's-complement words, whose top bits, flipped, give the
+    offset slots c + 2**63: no Python call runs per slot."""
+    half = _half_slots(len(dense), width)
+    if width == 8:
+        words = array("q", dense if _LITTLE else dense[::-1])
+        return (int.from_bytes(words, sys.byteorder) ^ half) - half
+    top = 1 << (8 * width - 1)
+    raw = b"".join([(c + top).to_bytes(width, "little") for c in dense])
+    return int.from_bytes(raw, "little") - half
+
+
+def _unpack(value, count, width):
+    """The ``count`` signed slot values whose :func:`_pack` is value;
+    OverflowError when value has no such form."""
+    half = _half_slots(count, width)
+    if width == 8:
+        raw = ((value + half) ^ half).to_bytes(8 * count, sys.byteorder)
+        words = memoryview(raw).cast("q").tolist()
+        return words if _LITTLE else words[::-1]
+    raw = (value + half).to_bytes(count * width, "little")
+    top = 1 << (8 * width - 1)
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") - top
+            for i in range(count)]
+
+
+def _slot_terms(slots, low=0):
+    """The term dict {low + i: slots[i]} of the nonzero slots."""
+    return dict(zip(compress(range(low, low + len(slots)), slots), filter(None, slots)))
+
+
 def packed_dot(pairs):
     """Sum of the products a * b over a nonempty list of (a, b) pairs of
     nonzero Polys, as a term dict, by Kronecker substitution: every
@@ -231,15 +271,14 @@ def packed_dot(pairs):
     int with a slot of ``width`` bytes per exponent, each pair's packed
     product is scaled to one common denominator (the lcm of the products'
     denominators) and shifted by its lowest exponent, and the slots of the
-    packed sum are read back once.  Each operand keeps its last pack, so the
-    operands that a Newton series reuses from degree to degree are packed
-    once per slot width, not once per degree.
+    packed sum are read back once.  Each operand keeps its last pack, and a
+    slot is at least one 64-bit word wide, so the operands that a Newton
+    series reuses from degree to degree are packed once per word count, not
+    once per degree.
 
     A slot holds any |c| < 2**(8 * width - 1); no coefficient of one product
     exceeds max|a| * max|b| * min(len(a), len(b)), so none of the sum exceeds
-    the sum of those bounds, each times its product's scale.  Adding half the
-    slot base to every slot makes each one nonnegative, so neither packing nor
-    unpacking carries between slots.
+    the sum of those bounds, each times its product's scale.
     """
     products = []  # (denominator, lowest key, a, b, bound on the product, slot count)
     for a, b in pairs:
@@ -250,19 +289,16 @@ def packed_dot(pairs):
                          len(dense_a) + len(dense_b) - 1))
     den = math.lcm(*[d for d, *_ in products])
     low = min(lo for _, lo, *_ in products)
-    bound = count = 0
+    bound = slots = 0
     for d, lo, _, _, top, span in products:
         bound += top * (den // d)
-        count = max(count, lo - low + span)
-    width = bound.bit_length() // 8 + 1
-    total = _half_slots(count, width)
+        slots = max(slots, lo - low + span)
+    width = max(8, bound.bit_length() // 8 + 1)
+    total = 0
     for d, lo, a, b, *_ in products:
         total += a._packed(width) * b._packed(width) * (den // d) << 8 * width * (lo - low)
-    raw = total.to_bytes(count * width, "little")
-    half = 1 << (8 * width - 1)
-    slots = [(low + i, int.from_bytes(raw[i * width:(i + 1) * width], "little") - half)
-             for i in range(count)]
-    return _over([(e, c) for e, c in slots if c], den)
+    terms = _slot_terms(_unpack(total, slots, width), low)
+    return terms if den == 1 else _over(terms.items(), den)
 
 
 def show_terms(pairs):
@@ -361,11 +397,14 @@ class Poly(_Terms):
         pack) of a nonzero polynomial; no pack is made yet at width 0."""
         if self._form is None:
             terms = self.coeffs
-            den = math.lcm(*[c.denominator for c in terms.values()])
-            low = min(terms)
-            dense = [0] * (max(terms) - low + 1)
-            for e, c in terms.items():
-                dense[e - low] = c.numerator * (den // c.denominator)
+            low, high = min(terms), max(terms)
+            if Fraction in set(map(type, terms.values())):
+                den = math.lcm(*[c.denominator for c in terms.values()])
+                dense = [0] * (high - low + 1)
+                for e, c in terms.items():
+                    dense[e - low] = c.numerator * (den // c.denominator)
+            else:
+                den, dense = 1, list(map(terms.get, range(low, high + 1), repeat(0)))
             self._form = (den, low, dense, max(map(abs, dense)), 0, 0)
         return self._form
 
@@ -374,9 +413,7 @@ class Poly(_Terms):
         (see :func:`packed_dot`); kept until a pack at another width."""
         den, low, dense, top, last, packed = self._integer_form()
         if last != width:
-            half = 1 << (8 * width - 1)
-            raw = b"".join([(c + half).to_bytes(width, "little") for c in dense])
-            packed = int.from_bytes(raw, "little") - _half_slots(len(dense), width)
+            packed = _pack(dense, width)
             self._form = (den, low, dense, top, width, packed)
         return packed
 
@@ -684,6 +721,9 @@ def exact_div(ring, x, d, detail=None):
 def power_sums(ring, xs, upto):
     """[P_1, ..., P_upto] from x_1 ... x_upto, without a division:
     P_n = n * x_n - sum over i = 1..n-1 of x_i * P_(n-i)."""
+    ps = _word_series(ring, xs[:upto], upto, False)
+    if ps is not None:
+        return ps
     ps = []
     for n in range(1, upto + 1):
         p = ring.scalar_mul_int(n, xs[n - 1])
@@ -696,14 +736,71 @@ def power_sums(ring, xs, upto):
 def from_power_sums(ring, ps, upto, direction=None):
     """[x_1, ..., x_upto] from P_1 ... P_upto, dividing each n * x_n by n
     exactly; a failure carries {"degree": n, "direction": direction} when a
-    direction is given."""
+    direction is given.  Degrees past the integral prefix that
+    :func:`_word_series` gives run one ``ring.dot`` each."""
     if len(ps) < upto:
         raise ValueError("need P_1..P_%d, got %d power sums" % (upto, len(ps)))
-    xs = [ring.one()]
-    for n in range(1, upto + 1):
+    xs = [ring.one()] + (_word_series(ring, ps[:upto], upto, True) or [])
+    for n in range(len(xs), upto + 1):
         detail = None if direction is None else {"degree": n, "direction": direction}
         xs.append(exact_div(ring, ring.dot(ps[:n], xs[::-1]), n, detail))
     return xs[1:]
+
+
+def _word_series(ring, polys, upto, divide):
+    """The outputs of :func:`power_sums` (``divide`` false), or the longest
+    integral prefix of those of :func:`from_power_sums`, over the ``upto``
+    ``polys`` evaluated at w = 2**(64k), one int each, so that each degree is
+    one int dot; None unless the ring is a PolyRing, every coefficient is an
+    int and the series is dense: its input term pairs (x_i, x_j), i + j <=
+    upto, outnumber the exponent slots of its outputs.
+
+    An output of degree n has degree at most D_n = max_i (deg x_i +
+    D_(n-i)), D_0 = 0, and, as no coefficient of a * b exceeds |a|_1 max|b|,
+    no coefficient beyond B_n = n max|x_n| + sum_(i<n) |x_i|_1 B_(n-i), or
+    for the division B_n = T_n // n with T_n = sum_i |P_i|_1 B_(n-i) and
+    B_0 = 1.  k words hold every B_n and T_n below half the slot base.  So
+    x_n is integral exactly when n divides S = sum_i P_i(w) x_(n-i)(w) and
+    no slot of S / n exceeds B_n: n times those slots and the coefficients
+    of the true sum are then two slot forms of S, and agree."""
+    if (not isinstance(ring, PolyRing) or len(polys) < upto
+            or any(Fraction in set(map(type, p.coeffs.values())) for p in polys)):
+        return None
+    degrees = [p.degree() for p in polys]
+    tops = [0]  # D_0, D_1, ...
+    for n in range(1, upto + 1):
+        tops.append(max(map(operator.add, degrees[:n], reversed(tops))))
+    lens = [len(p.coeffs) for p in polys]
+    pairs = sum(map(operator.mul, lens, reversed(list(accumulate(lens))[:upto - 1])))
+    if pairs <= sum(tops[1:]) + upto:
+        return None
+    norms = [sum(map(abs, p.coeffs.values())) for p in polys]
+    bounds = [int(divide)]  # B_0, B_1, ...
+    peak = 0
+    for n in range(1, upto + 1):
+        t = sum(map(operator.mul, norms[:n], reversed(bounds)))
+        if not divide:
+            t += n * max(map(abs, polys[n - 1].coeffs.values()), default=0)
+        peak = max(peak, t)
+        bounds.append(t // n if divide else t)
+    width = 8 * (peak.bit_length() // 64 + 1)
+    values = [p._packed(width) << 8 * width * p._integer_form()[1] if p.coeffs else 0
+              for p in polys]
+    if not divide:
+        return [p._new(_slot_terms(_unpack(v, top + 1, width)))
+                for p, v, top in zip(polys, power_sums(ZZ, values, upto), tops[1:])]
+    xs, out = [1], []
+    for n in range(1, upto + 1):
+        x, r = divmod(sum(map(operator.mul, values[:n], reversed(xs))), n)
+        try:
+            slots = [] if r else _unpack(x, tops[n] + 1, width)
+        except OverflowError:
+            break
+        if r or slots and (max(slots) > bounds[n] or min(slots) < -bounds[n]):
+            break
+        xs.append(x)
+        out.append(polys[0]._new(_slot_terms(slots)))
+    return out
 
 
 def ser_mul(ring, a, b, order):

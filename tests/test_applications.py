@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from polysplit import arrangements, rings
+from polysplit import applications, arrangements, rings
 from polysplit.applications import (
     _cyclotomic,
     _sl_closed_value,
@@ -44,7 +44,6 @@ from polysplit.rings import (
     divisors,
     euler_product,
     moebius,
-    packed_dot,
 )
 from polysplit.types import enumerate_types, parse_type
 
@@ -143,16 +142,37 @@ def test_witt_ghost_route_matches_motive_counts(n, q):
     _check_ghost_route(n, q, top=4, order=8)
 
 
+def test_field_sizes_are_exactly_the_prime_powers():
+    def smallest_factor(q):
+        return next(p for p in range(2, q + 1) if q % p == 0)
+
+    def by_trial_division(q):
+        p = smallest_factor(q) if q > 1 else 0
+        while p and q % p == 0:
+            q //= p
+        return q == 1 and p > 0
+
+    assert all(applications._is_prime_power(q) == by_trial_division(q) for q in range(1, 5000))
+    # primes and prime powers near 2^64, and strong pseudoprimes to the bases 2..23
+    for q in (2**61 - 1, (2**31 - 1)**2, 3**40, 2**63, 2**64 - 59):
+        assert applications._is_prime_power(q)
+    for q in (2**32 * 3, (2**32 - 5) * (2**32 - 17), 3215031751, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not applications._is_prime_power(q)
+
+
 def test_witt_ghost_route_covers_packed_products(monkeypatch):
-    # at n = 6 the motive's inversion multiplies polynomials of hundreds of
-    # terms, which Poly.__mul__ and PolyRing.dot pack into one int each
-    widest = []
+    # at n = 6 the motive's inversion runs over polynomials of hundreds of
+    # terms, whose power sums are one integer series over their packed values
+    widest, word_series = [], rings._word_series
 
-    def spy(pairs):
-        widest.append(max(max(len(a.coeffs), len(b.coeffs)) for a, b in pairs))
-        return packed_dot(pairs)
+    def spy(ring, polys, upto, divide):
+        out = word_series(ring, polys, upto, divide)
+        if out is not None:
+            widest.append(max(len(p.coeffs) for p in polys))
+        return out
 
-    monkeypatch.setattr(rings, "packed_dot", spy)
+    monkeypatch.setattr(rings, "_word_series", spy)
     _check_ghost_route(6, 2, top=5, order=10)
     assert max(widest) >= 200
 

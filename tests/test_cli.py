@@ -11,6 +11,7 @@ import json
 import os
 import pathlib
 import tempfile
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -70,6 +71,14 @@ def test_hyper_count_at_a_prime(capsys):
                        "--measure", "count", "--q", "3")
     assert code == 0
     assert out.strip().isdigit()
+
+
+@pytest.mark.parametrize("q", ["0", "1", "-3", "6"])
+def test_hyper_count_rejects_a_field_size_that_is_not_a_prime_power(capsys, q):
+    code, out, err = run(capsys, "hyper", "--dim", "2", "--degree", "2",
+                         "--measure", "count", "--q=" + q)
+    assert (code, out) == (1, "")
+    assert err == "error: q must be a prime power below 2^64, got %s\n" % q
 
 
 def test_polya_symbolic_menu(capsys):
@@ -560,21 +569,60 @@ PINNED_KERNEL_OUTPUTS = {
 
 @pytest.mark.parametrize("key", list(PINNED_KERNEL_OUTPUTS), ids="-".join)
 def test_kernel_outputs_are_pinned(monkeypatch, key):
-    # the zeta commands over the polynomial rings must also reach the packed
-    # dot product with more than one pair, which only PolyRing.dot passes
+    # the zeta commands over the polynomial rings must also reach their fast
+    # path: over polyZ, whose values are integral, the Newton series runs
+    # as one integer series; over polyQ each degree is one packed dot
+    # product with more than one pair, which only PolyRing.dot passes
     packed, packed_dot = [], rings.packed_dot
+    series, word_series = [], rings._word_series
 
     def spy(pairs):
         packed.append(len(pairs))
         return packed_dot(pairs)
+
+    def series_spy(ring, polys, upto, divide):
+        out = word_series(ring, polys, upto, divide)
+        if isinstance(ring, rings.PolyRing):  # not the inner series over Z
+            series.append(None if out is None else len(out))
+        return out
 
     args = list(key)
     if key[0] == "zeta":
         values = DATA / ("zeta-%s.json" % key[2])
         args = ["zeta", key[1], "--ring", key[2], "--values", str(values)]
         monkeypatch.setattr(rings, "packed_dot", spy)
+        monkeypatch.setattr(rings, "_word_series", series_spy)
     result = CliRunner().invoke(cli, args)
     assert (result.exit_code, result.stderr) == (0, "")
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED_KERNEL_OUTPUTS[key]
-    if key[0] == "zeta" and key[2] != "Q":
-        assert max(packed) > 1
+    if key[:1] + key[2:] == ("zeta", "polyZ"):
+        assert series == [12] and packed == []
+    elif key[:1] + key[2:] == ("zeta", "polyQ"):
+        assert series == [None] and max(packed) > 1
+
+
+# The values hold w^(10^11): their Newton series must stay sparse, as each
+# dense slot form would take terabytes.  The pins are the outputs of the
+# per-degree kernel; both commands took about 0.2 s on a 2-vCPU host.
+WIDE_SPARSE_VALUES = [{"0": "1", "100000000000": "1"}, {"1": "-2", "100000000000": "3"},
+                      {"0": "5"}, {"2": "1", "100000000000": "-1"}]
+PINNED_WIDE_SPARSE = {
+    "forward": "07e972cf106cb02fe1ac56748205ea2091b8afe3a28e4f047f27f1f81d435189",
+    "invert": "23a878883878437b431dbb23fe9c37394ae59016c3567fa76f8ddf935b397618",
+}
+
+
+def test_wide_sparse_values_are_never_packed_densely(tmp_path):
+    values = tmp_path / "us.json"
+    values.write_text(json.dumps({"ring": "polyZ", "role": "irreducible", "values": [
+        {"var": "w", "coeffs": c} for c in WIDE_SPARSE_VALUES]}))
+    for direction in ("forward", "invert"):
+        start = time.perf_counter()
+        result = CliRunner().invoke(cli, ["zeta", direction, "--ring", "polyZ",
+                                          "--values", str(values)])
+        assert time.perf_counter() - start < 5
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == \
+            PINNED_WIDE_SPARSE[direction]
+        values = tmp_path / ("%s.json" % direction)
+        values.write_text(result.stdout)

@@ -1052,6 +1052,125 @@ def test_a_poly_packed_at_two_widths_multiplies_like_a_fresh_copy():
                                                                   [small, large])
 
 
+def test_an_operand_is_packed_once_for_widths_that_round_to_one_word(monkeypatch):
+    # one-byte and six-byte slots both round up to one 64-bit word, so the
+    # operand of three products is packed once, not once per width
+    packs, pack = [], rings._pack
+
+    def spy(dense, width):
+        packs.append((tuple(dense), width))
+        return pack(dense, width)
+
+    monkeypatch.setattr(rings, "_pack", spy)
+    p = Poly({e: e + 1 for e in range(6)})
+    small, wider = Poly({e: 1 for e in range(4)}), Poly({e: 2**40 for e in range(4)})
+    for q in (small, wider, small):
+        assert (p * q).coeffs == sparse_mul(p.coeffs, q.coeffs, operator.add)
+    assert packs == [(tuple(p._form[2]), 8), ((1,) * 4, 8), ((2**40,) * 4, 8)]
+
+
+# ---------------------------------------------------------------------------
+# the slot codec, and the Newton series over integral polynomials run on
+# their values at w = 2^(64k), against the per-degree kernel
+
+_WORD_EDGES = [-2**63, 2**63 - 1, 0, 1, -1]
+
+
+@pytest.mark.parametrize("width,slots", [(8, _WORD_EDGES), (9, _WORD_EDGES + [2**70, -2**70]),
+                                         (16, _WORD_EDGES + [2**70, -2**127])])
+def test_slot_codec_round_trips(width, slots):
+    value = rings._pack(slots, width)
+    assert value == sum(c << 8 * width * i for i, c in enumerate(slots))
+    assert rings._unpack(value, len(slots), width) == slots
+    assert rings._unpack(value << 8 * width, len(slots) + 1, width) == [0] + slots
+    assert rings._pack([], width) == 0 and rings._unpack(0, 0, width) == []
+    half, n = 1 << 8 * width - 1, len(slots)
+    largest, smallest = rings._pack([half - 1] * n, width), rings._pack([-half] * n, width)
+    assert rings._unpack(largest, n, width) == [half - 1] * n
+    assert rings._unpack(smallest, n, width) == [-half] * n
+    for outside in (largest + 1, smallest - 1):
+        with pytest.raises(OverflowError):
+            rings._unpack(outside, n, width)
+
+
+def _check_series(ring, xs):
+    """power_sums and from_power_sums over xs and over its power sums give
+    what the per-degree kernel gives, a MathCheckError included."""
+    n = len(xs)
+    per_degree = _FreshDot(ring)  # not a PolyRing, so no series path
+    ps = power_sums(ring, xs, n)
+    assert ps == power_sums(per_degree, [_fresh(x) for x in xs], n)
+    for given in (ps, xs):
+        try:
+            expected = from_power_sums(per_degree, [_fresh(x) for x in given], n, "forward")
+        except MathCheckError as exc:
+            with pytest.raises(MathCheckError) as got:
+                from_power_sums(ring, given, n, "forward")
+            assert (str(got.value), got.value.detail) == (str(exc), exc.detail)
+        else:
+            assert from_power_sums(ring, given, n, "forward") == expected
+
+
+_SERIES_RINGS = [PolyRing(integral=True), PolyRing(), PolyRing(frobenius=False)]
+_series_coeffs = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70),
+                           st.sampled_from([0, -2**63, 2**63 - 1, 2**63, -2**63 - 1]))
+
+
+@st.composite
+def _series_poly(draw, ring):
+    low = draw(st.sampled_from([0, 0, 1, 4]))
+    coeffs = draw(st.lists(_series_coeffs, max_size=6))
+    return ring.adams(draw(st.sampled_from([1, 1, 2, 3])),
+                      Poly({low + e: c for e, c in enumerate(coeffs)}))
+
+
+@pytest.mark.parametrize("ring", _SERIES_RINGS, ids=[r.name for r in _SERIES_RINGS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_word_series_matches_the_per_degree_kernel(ring, data):
+    _check_series(ring, data.draw(st.lists(_series_poly(ring), min_size=1, max_size=6)))
+
+
+def _series_cases(ring):
+    dense = [Poly({e: (-1) ** e * (e + n) for e in range(4)}) for n in range(1, 6)]
+    return {
+        "zero": dense[:2] + [Poly({})] + dense[2:],
+        "lowest exponent 3": [Poly({3 + e: c for e, c in x.coeffs.items()}) for x in dense],
+        "frobenius": [ring.adams(r, x) for r, x in zip([1, 2, 1, 3, 2], dense)],
+        "one word": [Poly({e: 2**6 - e for e in range(4)}) for _ in range(5)],
+        "multiword": [Poly({e: 2**63 - e for e in range(4)}) for _ in range(5)],
+    }
+
+
+@pytest.mark.parametrize("ring", _SERIES_RINGS, ids=[r.name for r in _SERIES_RINGS])
+def test_word_series_takes_the_pinned_cases(ring):
+    for case, xs in _series_cases(ring).items():
+        assert rings._word_series(ring, xs, len(xs), False) is not None, case
+        widths = {x._form[4] for x in xs if x.coeffs}  # bytes a slot
+        assert widths == {8} if case != "multiword" else min(widths) > 8, case
+        _check_series(ring, xs)
+
+
+def test_word_series_refuses_what_the_per_degree_kernel_refuses():
+    # P_1 = 2 + 2w + 2w^2 and P_2 = w: 2 x_2 = P_1^2 + P_2 has odd terms
+    ring = PolyRing(integral=True)
+    ps = [Poly({0: 2, 1: 2, 2: 2}), Poly({1: 1})]
+    assert len(rings._word_series(ring, ps, 2, True)) == 1
+    _check_series(ring, ps)
+    # 3 x_3 = 1 - w: no coefficient is divisible by 3, but its value at
+    # w = 2^(64k) is; the slots of the quotient exceed their bound
+    x1, x2 = Poly({0: 1, 1: 2, 2: 1}), Poly({0: 3, 1: -1, 2: 1, 3: 2})
+    p1, p2 = power_sums(ring, [x1, x2], 2)
+    ps = [p1, p2, Poly({0: 1, 1: -1}) - (p1 * x2 + p2 * x1)]
+    assert rings._word_series(ring, ps, 3, True) == [x1, x2]
+    with pytest.raises(MathCheckError) as got:
+        from_power_sums(ring, ps, 3, "forward")
+    assert got.value.detail == {"degree": 3, "direction": "forward"}
+    _check_series(ring, ps)
+    # over Q the series hands the failing degree to the per-degree kernel
+    assert from_power_sums(PolyRing(), ps, 3)[2] == Poly({0: Fraction(1, 3), 1: Fraction(-1, 3)})
+
+
 _IN_PLACE_HELPERS = {"add_terms", "_ints"}
 _DICT_WRITES = {"update", "pop", "popitem", "clear", "setdefault"}
 
