@@ -591,21 +591,6 @@ def top_column_inverse(d):
 # the free commutative monoid oracle
 
 
-def _extend_monomial(degrees, exps, i, remaining, out):
-    """Append to out every exponent vector that agrees with exps before i
-    and whose entries from i on weigh remaining, generator i weighing
-    degrees[i]; smaller entries come first.  It recurses at module level,
-    so a call leaves no reference cycle."""
-    if i == len(degrees):
-        if remaining == 0:
-            out.append(tuple(exps))
-        return
-    for e in range(remaining // degrees[i] + 1):
-        exps[i] = e
-        _extend_monomial(degrees, exps, i + 1, remaining - e * degrees[i], out)
-    exps[i] = 0
-
-
 def monoid_oracle(d, generator_degrees):
     """Check the arrangement tables against a free commutative monoid.
 
@@ -643,9 +628,7 @@ def monoid_oracle(d, generator_degrees):
     X = {}
     for k in range(1, d + 1):
         x[k] = zero
-        monomials = []
-        _extend_monomial(degrees, [0] * nvars, 0, k, monomials)
-        for exps in monomials:
+        for exps in weighted_vectors(degrees, [k] * nvars, k):
             term = MPoly(nvars, {exps: 1})
             x[k] = x[k] + term
             t = type_of(exps)

@@ -231,37 +231,50 @@ def _half_slots(count, width):
 _LITTLE = sys.byteorder == "little"
 
 
+def _slot_width(bound):
+    """Bytes a slot for slot values of magnitude at most ``bound``: at least
+    one 64-bit word, so that the word codec of :func:`_pack` runs."""
+    return max(8, bound.bit_length() // 8 + 1)
+
+
 def _pack(dense, width):
     """The int sum of dense[i] * 2**(8 * width * i) for slot values in
-    [-2**(8 * width - 1), 2**(8 * width - 1)).  One-word slots go through an
-    array of two's-complement words, whose top bits, flipped, give the
-    offset slots c + 2**63: no Python call runs per slot."""
+    [-2**(8 * width - 1), 2**(8 * width - 1)).  The slots are laid out in
+    two's complement, one-word slots as an array of words so that no Python
+    call runs per slot, and their top bits, flipped, give the offset slots
+    c + 2**(8 * width - 1) of one unsigned int."""
     half = _half_slots(len(dense), width)
     if width == 8:
-        words = array("q", dense if _LITTLE else dense[::-1])
-        return (int.from_bytes(words, sys.byteorder) ^ half) - half
-    top = 1 << (8 * width - 1)
-    raw = b"".join([(c + top).to_bytes(width, "little") for c in dense])
-    return int.from_bytes(raw, "little") - half
+        raw, order = array("q", dense if _LITTLE else dense[::-1]), sys.byteorder
+    else:
+        raw, order = b"".join([c.to_bytes(width, "little", signed=True) for c in dense]), "little"
+    return (int.from_bytes(raw, order) ^ half) - half
 
 
 def _unpack(value, count, width):
     """The ``count`` signed slot values whose :func:`_pack` is value;
     OverflowError when value has no such form."""
     half = _half_slots(count, width)
+    order = sys.byteorder if width == 8 else "little"
+    raw = ((value + half) ^ half).to_bytes(count * width, order)
     if width == 8:
-        raw = ((value + half) ^ half).to_bytes(8 * count, sys.byteorder)
         words = memoryview(raw).cast("q").tolist()
         return words if _LITTLE else words[::-1]
-    raw = (value + half).to_bytes(count * width, "little")
-    top = 1 << (8 * width - 1)
-    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") - top
-            for i in range(count)]
+    return [int.from_bytes(raw[i:i + width], "little", signed=True)
+            for i in range(0, len(raw), width)]
 
 
 def _slot_terms(slots, low=0):
     """The term dict {low + i: slots[i]} of the nonzero slots."""
     return dict(zip(compress(range(low, low + len(slots)), slots), filter(None, slots)))
+
+
+def _pays_to_pack(a, b):
+    """Term pairs less exponent slots of the product of the nonempty term
+    dicts a and b: a sum of products is packed only when the sum of these is
+    positive, as the schoolbook product costs one coefficient product per
+    term pair and the packed one a few int operations per exponent slot."""
+    return len(a) * len(b) - (max(a) - min(a) + max(b) - min(b) + 1)
 
 
 def packed_dot(pairs):
@@ -271,20 +284,17 @@ def packed_dot(pairs):
     int with a slot of ``width`` bytes per exponent, each pair's packed
     product is scaled to one common denominator (the lcm of the products'
     denominators) and shifted by its lowest exponent, and the slots of the
-    packed sum are read back once.  Each operand keeps its last pack, and a
-    slot is at least one 64-bit word wide, so the operands that a Newton
-    series reuses from degree to degree are packed once per word count, not
-    once per degree.
+    packed sum are read back once.
 
     A slot holds any |c| < 2**(8 * width - 1); no coefficient of one product
     exceeds max|a| * max|b| * min(len(a), len(b)), so none of the sum exceeds
     the sum of those bounds, each times its product's scale.
     """
-    products = []  # (denominator, lowest key, a, b, bound on the product, slot count)
+    products = []  # (denominator, lowest key, dense a, dense b, bound on the product, slot count)
     for a, b in pairs:
-        den_a, low_a, dense_a, top_a, *_ = a._integer_form()
-        den_b, low_b, dense_b, top_b, *_ = b._integer_form()
-        products.append((den_a * den_b, low_a + low_b, a, b,
+        den_a, low_a, dense_a, top_a = a._integer_form()
+        den_b, low_b, dense_b, top_b = b._integer_form()
+        products.append((den_a * den_b, low_a + low_b, dense_a, dense_b,
                          top_a * top_b * min(len(a.coeffs), len(b.coeffs)),
                          len(dense_a) + len(dense_b) - 1))
     den = math.lcm(*[d for d, *_ in products])
@@ -293,10 +303,10 @@ def packed_dot(pairs):
     for d, lo, _, _, top, span in products:
         bound += top * (den // d)
         slots = max(slots, lo - low + span)
-    width = max(8, bound.bit_length() // 8 + 1)
+    width = _slot_width(bound)
     total = 0
     for d, lo, a, b, *_ in products:
-        total += a._packed(width) * b._packed(width) * (den // d) << 8 * width * (lo - low)
+        total += _pack(a, width) * _pack(b, width) * (den // d) << 8 * width * (lo - low)
     terms = _slot_terms(_unpack(total, slots, width), low)
     return terms if den == 1 else _over(terms.items(), den)
 
@@ -361,9 +371,9 @@ class Poly(_Terms):
     """Sparse univariate polynomial over Q: an integral coefficient is an
     int, any other a Fraction, so a polynomial over Z computes on ints.
 
-    ``_form`` keeps the integer form that the packed products and the gcd
-    steps read, built on first use (:meth:`_integer_form`) together with
-    the last Kronecker pack; it stays valid because no code changes
+    ``_form`` keeps the integer form that the packed products, the integer
+    series and the gcd steps read, built on first use
+    (:meth:`_integer_form`); it stays valid because no code changes
     ``coeffs`` after ``__init__`` or ``_new``."""
 
     __slots__ = ("var", "_form")
@@ -393,8 +403,7 @@ class Poly(_Terms):
     def _integer_form(self):
         """(lcm D of the denominators, lowest exponent, dense list of the
         numerators over D from the lowest exponent to the highest, zero in
-        every gap, largest |numerator|, slot width of the last pack, that
-        pack) of a nonzero polynomial; no pack is made yet at width 0."""
+        every gap, largest |numerator|) of a nonzero polynomial."""
         if self._form is None:
             terms = self.coeffs
             low, high = min(terms), max(terms)
@@ -405,17 +414,8 @@ class Poly(_Terms):
                     dense[e - low] = c.numerator * (den // c.denominator)
             else:
                 den, dense = 1, list(map(terms.get, range(low, high + 1), repeat(0)))
-            self._form = (den, low, dense, max(map(abs, dense)), 0, 0)
+            self._form = (den, low, dense, max(map(abs, dense)))
         return self._form
-
-    def _packed(self, width):
-        """The dense numerators in one int, a slot of ``width`` bytes each
-        (see :func:`packed_dot`); kept until a pack at another width."""
-        den, low, dense, top, last, packed = self._integer_form()
-        if last != width:
-            packed = _pack(dense, width)
-            self._form = (den, low, dense, top, width, packed)
-        return packed
 
     @classmethod
     def const(cls, c, var="w"):
@@ -434,11 +434,7 @@ class Poly(_Terms):
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
-        # the schoolbook product costs one Fraction product per pair of
-        # terms, the packed one a few int operations per exponent slot of
-        # the result: pack only when the pairs outnumber the slots (never
-        # for a one-term operand, nor for few terms over a wide span)
-        if a and b and len(a) * len(b) > max(a) - min(a) + max(b) - min(b) + 1:
+        if a and b and _pays_to_pack(a, b) > 0:
             return self._new(packed_dot([(self, other)]))
         return self._new(_ints(sparse_mul(a, b, operator.add)))
 
@@ -496,7 +492,7 @@ def _dense_ints(p):
     D is the lcm of the denominators of p; (1, []) for the zero polynomial."""
     if not p.coeffs:
         return 1, []
-    den, low, dense, *_ = p._integer_form()
+    den, low, dense, _ = p._integer_form()
     return den, [0] * low + dense
 
 
@@ -750,19 +746,20 @@ def from_power_sums(ring, ps, upto, direction=None):
 def _word_series(ring, polys, upto, divide):
     """The outputs of :func:`power_sums` (``divide`` false), or the longest
     integral prefix of those of :func:`from_power_sums`, over the ``upto``
-    ``polys`` evaluated at w = 2**(64k), one int each, so that each degree is
-    one int dot; None unless the ring is a PolyRing, every coefficient is an
-    int and the series is dense: its input term pairs (x_i, x_j), i + j <=
-    upto, outnumber the exponent slots of its outputs.
+    ``polys`` evaluated at w = 2**(8 * width), one int each, so that each
+    degree is one int dot; None unless the ring is a PolyRing, every
+    coefficient is an int and the series is dense: its input term pairs
+    (x_i, x_j), i + j <= upto, outnumber the exponent slots of its outputs.
 
     An output of degree n has degree at most D_n = max_i (deg x_i +
     D_(n-i)), D_0 = 0, and, as no coefficient of a * b exceeds |a|_1 max|b|,
     no coefficient beyond B_n = n max|x_n| + sum_(i<n) |x_i|_1 B_(n-i), or
     for the division B_n = T_n // n with T_n = sum_i |P_i|_1 B_(n-i) and
-    B_0 = 1.  k words hold every B_n and T_n below half the slot base.  So
-    x_n is integral exactly when n divides S = sum_i P_i(w) x_(n-i)(w) and
-    no slot of S / n exceeds B_n: n times those slots and the coefficients
-    of the true sum are then two slot forms of S, and agree."""
+    B_0 = 1, the bound on the coefficients of S_n = sum_i P_i x_(n-i) and on
+    an integral x_n = S_n / n.  Slots hold every B_n and T_n, so each S_n
+    is read back from its value and divided as the per-degree kernel
+    divides it; the first degree whose quotient is not integral ends the
+    prefix."""
     if (not isinstance(ring, PolyRing) or len(polys) < upto
             or any(Fraction in set(map(type, p.coeffs.values())) for p in polys)):
         return None
@@ -774,32 +771,29 @@ def _word_series(ring, polys, upto, divide):
     pairs = sum(map(operator.mul, lens, reversed(list(accumulate(lens))[:upto - 1])))
     if pairs <= sum(tops[1:]) + upto:
         return None
-    norms = [sum(map(abs, p.coeffs.values())) for p in polys]
+    forms = [p._integer_form() if p.coeffs else (1, 0, [], 0) for p in polys]
+    norms = [sum(map(abs, dense)) for _, _, dense, _ in forms]
     bounds = [int(divide)]  # B_0, B_1, ...
     peak = 0
     for n in range(1, upto + 1):
         t = sum(map(operator.mul, norms[:n], reversed(bounds)))
         if not divide:
-            t += n * max(map(abs, polys[n - 1].coeffs.values()), default=0)
+            t += n * forms[n - 1][3]
         peak = max(peak, t)
         bounds.append(t // n if divide else t)
-    width = 8 * (peak.bit_length() // 64 + 1)
-    values = [p._packed(width) << 8 * width * p._integer_form()[1] if p.coeffs else 0
-              for p in polys]
+    width = _slot_width(peak)
+    values = [_pack(dense, width) << 8 * width * low for _, low, dense, _ in forms]
     if not divide:
         return [p._new(_slot_terms(_unpack(v, top + 1, width)))
                 for p, v, top in zip(polys, power_sums(ZZ, values, upto), tops[1:])]
     xs, out = [1], []
     for n in range(1, upto + 1):
-        x, r = divmod(sum(map(operator.mul, values[:n], reversed(xs))), n)
-        try:
-            slots = [] if r else _unpack(x, tops[n] + 1, width)
-        except OverflowError:
+        s = sum(map(operator.mul, values[:n], reversed(xs)))
+        x = ring.exact_div_by_int(polys[0]._new(_slot_terms(_unpack(s, tops[n] + 1, width))), n)
+        if x is None or Fraction in set(map(type, x.coeffs.values())):
             break
-        if r or slots and (max(slots) > bounds[n] or min(slots) < -bounds[n]):
-            break
-        xs.append(x)
-        out.append(polys[0]._new(_slot_terms(slots)))
+        xs.append(s // n)  # n divides every slot of s, so s // n packs x
+        out.append(x)
     return out
 
 
@@ -1100,13 +1094,11 @@ class PolyRing(RingDescriptor):
         return first._new(_ints(terms))
 
     def dot(self, xs, ys):
-        # Poly.__mul__'s rule summed over the pairs: pack the whole sum when
-        # its term pairs outnumber the exponent slots of its products, so
-        # that wide sparse operands (Frobenius images) stay sparse
+        # Poly.__mul__'s rule summed over the pairs, so that wide sparse
+        # operands (Frobenius images) stay sparse
         pairs = [(x, y) for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
         terms = [(x.coeffs, y.coeffs) for x, y in pairs]
-        if (sum(len(a) * len(b) for a, b in terms)
-                > sum(max(a) - min(a) + max(b) - min(b) + 1 for a, b in terms)):
+        if sum(_pays_to_pack(a, b) for a, b in terms) > 0:
             return xs[0]._new(packed_dot(pairs))
         return (xs[0] if xs else self.zero())._new(_ints(sparse_dot(terms, operator.add)))
 
@@ -1351,26 +1343,26 @@ class MPolyRing(RingDescriptor):
 # ring registry for the CLI and JSON value files
 
 
+# CLI ring token -> descriptor for a Witt truncation order, in the order
+# that a round over every ring takes
+_RING_BY_TOKEN = {
+    "Z": lambda order: IntegerRing(),
+    "Q": lambda order: RationalRing(),
+    "polyZ": lambda order: PolyRing(integral=True),
+    "polyQ": lambda order: PolyRing(integral=False),
+    "ratfunc": lambda order: RationalFunctionRing(),
+    "pair": lambda order: PairRing(),
+    "witt": WittRing,
+}
+RING_TOKENS = tuple(_RING_BY_TOKEN)
+
+
 def ring_from_token(token, order=None):
     """Resolve a CLI ring token to a descriptor.
 
-    The Witt ring needs a truncation order, taken from the values file.
+    The Witt ring needs a truncation order, taken from the values file;
+    it is 8 when none is given.
     """
-    if token == "Z":
-        return IntegerRing()
-    if token == "Q":
-        return RationalRing()
-    if token == "polyZ":
-        return PolyRing(integral=True)
-    if token == "polyQ":
-        return PolyRing(integral=False)
-    if token == "ratfunc":
-        return RationalFunctionRing()
-    if token == "pair":
-        return PairRing()
-    if token == "witt":
-        return WittRing(order if order is not None else 8)
-    raise ValueError(f"unknown ring token {token!r}")
-
-
-RING_TOKENS = ("Z", "Q", "polyZ", "polyQ", "ratfunc", "pair", "witt")
+    if token not in _RING_BY_TOKEN:
+        raise ValueError(f"unknown ring token {token!r}")
+    return _RING_BY_TOKEN[token](8 if order is None else order)

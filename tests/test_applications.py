@@ -45,7 +45,7 @@ from polysplit.rings import (
     euler_product,
     moebius,
 )
-from polysplit.types import enumerate_types, parse_type
+from polysplit.types import SplittingType, enumerate_types, parse_type
 
 
 def _poly(coeffs, var):
@@ -320,6 +320,62 @@ def test_stratum_masses_sum_to_the_closed_count():
                 total = total + stratum_mass(lam, n)
             expected = _poly({k: 1 for k in range(math.comb(n + d, d))}, var="q")
             assert total == expected
+
+
+def _divide_form(f, g, q):
+    """f / g for forms over F_q, prime q, or None when g does not divide f:
+    division by the one divisor g in lex order leaves no remainder exactly
+    when g divides f, so the first leading term that the leading term of g
+    does not divide decides."""
+    f, lead = dict(f), max(g)
+    inverse = pow(g[lead], -1, q)
+    quotient = {}
+    while f:
+        top = max(f)
+        shift = tuple(a - b for a, b in zip(top, lead))
+        if min(shift) < 0:
+            return None
+        t = quotient[shift] = f[top] * inverse % q
+        for m, c in g.items():
+            key = tuple(a + b for a, b in zip(shift, m))
+            value = (f.get(key, 0) - t * c) % q
+            if value:
+                f[key] = value
+            else:
+                f.pop(key, None)
+    return quotient
+
+
+@pytest.mark.parametrize("n, d, q", [(1, d, q) for d in (2, 3, 4) for q in (2, 3)]
+                         + [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2)])
+def test_stratum_masses_count_the_factorizations_over_f_q(n, d, q):
+    # a hypersurface is a form up to scalar, here the one whose lex-leading
+    # coefficient is 1; its type has a part (deg g, m) for each irreducible
+    # factor g of multiplicity m, found by trial division over the
+    # irreducible forms of lower degree
+    irreducibles = []
+    tally = {}
+    for k in range(1, d + 1):
+        for f in _forms(n + 1, k, q):
+            if f[max(f)] != 1:
+                continue
+            parts = []
+            for g in [g for g in irreducibles if 2 * sum(max(g)) <= k]:
+                m = 0
+                while (quotient := _divide_form(f, g, q)) is not None:
+                    f, m = quotient, m + 1
+                if m:
+                    parts.append((sum(max(g)), m))
+            if not parts:
+                irreducibles.append(f)
+                parts = [(k, 1)]
+            elif sum(max(f)):  # one irreducible factor of degree above k / 2 is left
+                parts.append((sum(max(f)), 1))
+            if k == d:
+                lam = SplittingType(parts)
+                tally[lam] = tally.get(lam, 0) + 1
+    for lam in enumerate_types(d):
+        assert tally.get(lam, 0) == stratum_mass(lam, n).evaluate(q), lam.label()
 
 
 # SHA-256 of json.dumps([[stratum_mass(lam, n).to_json() for n in 1..4] for

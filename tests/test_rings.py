@@ -960,6 +960,11 @@ def test_packed_dot_shifts_and_scales_each_product():
         ({5: -1}, {0: Fraction(1, 3)}), ({1: -1}, {0: Fraction(1, 10)})]]
     assert packed_dot(pairs) == {7: 1}
     assert packed_dot(pairs[:2]) == {5: Fraction(1, 3), 7: 1, 1: Fraction(1, 10)}
+    # one operand in a product of small coefficients and one of 70-bit ones
+    p = Poly({e: e + 1 for e in range(6)})
+    small, large = Poly({e: 1 for e in range(4)}), Poly({e: 2**70 + e for e in range(4)})
+    assert packed_dot([(p, small), (p, large)]) == sparse_dot(
+        [(p.coeffs, small.coeffs), (p.coeffs, large.coeffs)], operator.add)
 
 
 def test_poly_ring_dot_packs_only_dense_products(monkeypatch):
@@ -983,11 +988,11 @@ def test_poly_ring_dot_packs_only_dense_products(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the integer form and last pack that each Poly keeps, against fresh copies
+# the integer form that each Poly keeps, against fresh copies
 
 
 def _fresh(x):
-    """A copy of a Poly or RatFunc that shares no integer form or pack with x."""
+    """A copy of a Poly or RatFunc that shares no integer form with x."""
     if isinstance(x, RatFunc):
         return RatFunc._new(_fresh(x.num), _fresh(x.den))
     return Poly(dict(x.coeffs), var=x.var)
@@ -995,7 +1000,7 @@ def _fresh(x):
 
 class _FreshDot:
     """The ring, except that every dot is the default sum of products over
-    fresh copies, so no operand brings a pack from an earlier degree."""
+    fresh copies, so no operand brings an integer form from an earlier degree."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -1011,11 +1016,26 @@ _FORM_RINGS = [PolyRing(integral=True), PolyRing(), PolyRing(frobenius=False),
                RationalFunctionRing()]
 
 
+def _pack_widths(monkeypatch):
+    """The list that records the slot width, in bytes, of every later
+    ``rings._pack`` call."""
+    widths, pack = [], rings._pack
+
+    def spy(dense, width):
+        widths.append(width)
+        return pack(dense, width)
+
+    monkeypatch.setattr(rings, "_pack", spy)
+    return widths
+
+
 @pytest.mark.parametrize("ring", _FORM_RINGS, ids=[r.name for r in _FORM_RINGS])
-def test_newton_kernel_matches_the_default_dot_on_fresh_copies(ring):
+def test_newton_kernel_matches_the_default_dot_on_fresh_copies(monkeypatch, ring):
     # every degree of the kernel reuses the operands of the degree before,
-    # each with the pack it kept, at slot widths that grow with the degree
+    # each with the integer form it kept, packed at slot widths that grow
+    # with the degree
     rng = random.Random(26)
+    widths = _pack_widths(monkeypatch)
 
     def poly():
         if ring.name == "polyZ":
@@ -1032,41 +1052,7 @@ def test_newton_kernel_matches_the_default_dot_on_fresh_copies(ring):
     back = from_power_sums(ring, ps, n)
     assert back == from_power_sums(_FreshDot(ring), [_fresh(p) for p in ps], n)
     assert back == xs
-    parts = [y for x in xs for y in (x.num, x.den)] if ring.name == "ratfunc" else xs
-    assert any(p._form and p._form[4] for p in parts)  # some operand kept a pack
-
-
-def test_a_poly_packed_at_two_widths_multiplies_like_a_fresh_copy():
-    p = Poly({e: e + 1 for e in range(6)})
-    small = Poly({e: 1 for e in range(4)})  # one-byte slots
-    large = Poly({e: 2**70 + e for e in range(4)})  # ten-byte slots
-    widths = []
-    for q in (small, large, small, large):
-        product = p * q
-        widths.append(p._form[4])
-        assert product == _fresh(p) * _fresh(q)
-        assert product.coeffs == sparse_mul(p.coeffs, q.coeffs, operator.add)
-    assert widths[0] == widths[2] < widths[1] == widths[3]
-    ring = PolyRing()
-    assert ring.dot([p, p], [small, large]) == RingDescriptor.dot(ring, [_fresh(p)] * 2,
-                                                                  [small, large])
-
-
-def test_an_operand_is_packed_once_for_widths_that_round_to_one_word(monkeypatch):
-    # one-byte and six-byte slots both round up to one 64-bit word, so the
-    # operand of three products is packed once, not once per width
-    packs, pack = [], rings._pack
-
-    def spy(dense, width):
-        packs.append((tuple(dense), width))
-        return pack(dense, width)
-
-    monkeypatch.setattr(rings, "_pack", spy)
-    p = Poly({e: e + 1 for e in range(6)})
-    small, wider = Poly({e: 1 for e in range(4)}), Poly({e: 2**40 for e in range(4)})
-    for q in (small, wider, small):
-        assert (p * q).coeffs == sparse_mul(p.coeffs, q.coeffs, operator.add)
-    assert packs == [(tuple(p._form[2]), 8), ((1,) * 4, 8), ((2**40,) * 4, 8)]
+    assert widths  # some operands were packed
 
 
 # ---------------------------------------------------------------------------
@@ -1143,11 +1129,12 @@ def _series_cases(ring):
 
 
 @pytest.mark.parametrize("ring", _SERIES_RINGS, ids=[r.name for r in _SERIES_RINGS])
-def test_word_series_takes_the_pinned_cases(ring):
+def test_word_series_takes_the_pinned_cases(monkeypatch, ring):
+    widths = _pack_widths(monkeypatch)
     for case, xs in _series_cases(ring).items():
+        widths.clear()
         assert rings._word_series(ring, xs, len(xs), False) is not None, case
-        widths = {x._form[4] for x in xs if x.coeffs}  # bytes a slot
-        assert widths == {8} if case != "multiword" else min(widths) > 8, case
+        assert set(widths) == {8} if case != "multiword" else min(widths) > 8, case
         _check_series(ring, xs)
 
 
