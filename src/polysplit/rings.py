@@ -703,7 +703,8 @@ class RatFunc:
 #
 # is the one kernel behind zeta inversion, Witt coordinates, log and exp.
 # Each degree is one ``ring.dot``, a sum of products that a descriptor may
-# compute in one pass.
+# compute in one pass; over Q and over integral Poly sequences the whole
+# series runs on ints (:func:`_fraction_series`, :func:`_word_series`).
 
 
 def exact_div(ring, x, d, detail=None):
@@ -717,6 +718,8 @@ def exact_div(ring, x, d, detail=None):
 def power_sums(ring, xs, upto):
     """[P_1, ..., P_upto] from x_1 ... x_upto, without a division:
     P_n = n * x_n - sum over i = 1..n-1 of x_i * P_(n-i)."""
+    if isinstance(ring, RationalRing):
+        return _fraction_series(xs, upto, False)
     ps = _word_series(ring, xs[:upto], upto, False)
     if ps is not None:
         return ps
@@ -736,11 +739,35 @@ def from_power_sums(ring, ps, upto, direction=None):
     :func:`_word_series` gives run one ``ring.dot`` each."""
     if len(ps) < upto:
         raise ValueError("need P_1..P_%d, got %d power sums" % (upto, len(ps)))
+    if isinstance(ring, RationalRing):
+        return _fraction_series(ps, upto, True)
     xs = [ring.one()] + (_word_series(ring, ps[:upto], upto, True) or [])
     for n in range(len(xs), upto + 1):
         detail = None if direction is None else {"degree": n, "direction": direction}
         xs.append(exact_div(ring, ring.dot(ps[:n], xs[::-1]), n, detail))
     return xs[1:]
+
+
+def _fraction_series(values, upto, divide):
+    """:func:`power_sums` (``divide`` false) or :func:`from_power_sums` over
+    Q on ints: the values over the lcm of their denominators, the outputs
+    over one running denominator that grows by what each new output's
+    denominator adds, so each degree is one int dot and one Fraction."""
+    values = values[:upto]
+    den = math.lcm(*[v.denominator for v in values])
+    given = [v.numerator * (den // v.denominator) for v in values]
+    kept, scale, out = [1] if divide else [], 1, []  # kept[k] / scale: x_k or P_(k+1)
+    for n in range(1, upto + 1):
+        s = sum(map(operator.mul, given[:n if divide else n - 1], reversed(kept)))
+        x = Fraction(s, n * den * scale) if divide else Fraction(
+            n * given[n - 1] * scale - s, den * scale)
+        grow = x.denominator // math.gcd(scale, x.denominator)
+        if grow > 1:
+            scale *= grow
+            kept = list(map(operator.mul, kept, repeat(grow)))
+        kept.append(x.numerator * (scale // x.denominator))
+        out.append(x)
+    return out
 
 
 def _word_series(ring, polys, upto, divide):
@@ -932,6 +959,9 @@ class RingDescriptor:
     (one common denominator), the pair ring (one int sum per component) and
     the Poly and MPoly rings (one term dict, :func:`sparse_dot`, or for dense
     Poly products one Kronecker-packed sum, :func:`packed_dot`) do.
+    ``adams_sum(terms)``, the sum of ``n * psi_r(x)`` over (n, r, x) triples,
+    defaults to ``scalar_mul_int``, ``adams`` and ``sum``; Z, Q and the pair
+    ring take it as one ``dot``.
     """
 
     name = "abstract"
@@ -984,6 +1014,15 @@ class RingDescriptor:
     def dot(self, xs, ys):
         return self.sum(map(self.mul, xs, ys))
 
+    def adams_sum(self, terms):
+        return self.sum(self.scalar_mul_int(n, self.adams(r, x)) for n, r, x in terms)
+
+    def _trivial_adams_sum(self, terms):
+        # adams_sum where psi_r is trivial: one dot of the multipliers with
+        # the elements, each read through adams, which checks r
+        return self.dot([self.from_int(n) for n, _, _ in terms],
+                        [self.adams(r, x) for _, r, x in terms])
+
     def to_json(self, x):
         return x.to_json()
 
@@ -1005,6 +1044,8 @@ class IntegerRing(RingDescriptor):
 
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys))
+
+    adams_sum = RingDescriptor._trivial_adams_sum
 
     def exact_div_by_int(self, x, d):
         q, r = divmod(x, d)
@@ -1047,6 +1088,8 @@ class RationalRing(RingDescriptor):
             den = den // g * d
         return Fraction(num, den)
 
+    adams_sum = RingDescriptor._trivial_adams_sum
+
     def exact_div_by_int(self, x, d):
         return Fraction(x) / d
 
@@ -1082,16 +1125,16 @@ class PolyRing(RingDescriptor):
         return Poly.const(n, var=self.var)
 
     def sum(self, elements):
-        # one term dict takes every term, so k summands cost their total
-        # term count, not k copies of a growing total
-        elements = iter(elements)
-        first = next(elements, None)
-        if first is None:
+        # one term dict: a copy of the summand with the most terms, into
+        # which the rest are added, so k summands cost the terms of all but
+        # the largest, not k copies of a growing total
+        elements = sorted(elements, key=lambda e: len(e.coeffs), reverse=True)
+        if not elements:
             return self.zero()
-        terms = dict(first.coeffs)
-        for e in elements:
+        terms = dict(elements[0].coeffs)
+        for e in elements[1:]:
             add_terms(terms, e.coeffs.items())
-        return first._new(_ints(terms))
+        return elements[0]._new(_ints(terms))
 
     def dot(self, xs, ys):
         # Poly.__mul__'s rule summed over the pairs, so that wide sparse
@@ -1104,7 +1147,7 @@ class PolyRing(RingDescriptor):
 
     def adams(self, r, x):
         self._check_r(r)
-        return x.substitute_power(r) if self.frobenius else x
+        return x.substitute_power(r) if self.frobenius and r > 1 else x
 
     def scalar_mul_int(self, n, x):
         return x if n == 1 else x.scale(n)
@@ -1114,7 +1157,7 @@ class PolyRing(RingDescriptor):
             raise ZeroDivisionError("polynomial division by zero")
         if not self.integral:
             return x._new(_over(x.coeffs.items(), d))
-        if any(c % d for c in x.coeffs.values()):  # not divisible in Z[w]
+        if any(map(operator.mod, x.coeffs.values(), repeat(d))):  # not divisible in Z[w]
             return None
         return x._new({e: c // d for e, c in x.coeffs.items()})
 
@@ -1179,6 +1222,8 @@ class PairRing(RingDescriptor):
             a += x0 * y0
             b += x1 * y1
         return (a, b)
+
+    adams_sum = RingDescriptor._trivial_adams_sum
 
     def exact_div_by_int(self, x, d):
         if x[0] % d or x[1] % d:

@@ -283,6 +283,16 @@ def test_zeta_upto_truncates(capsys, tmp_path):
     assert len(json.loads(out)["values"]) == 2
 
 
+@pytest.mark.parametrize("direction", ["invert", "forward"])
+@pytest.mark.parametrize("upto", ["0", "-3", "5"])
+def test_zeta_upto_is_bounded(capsys, tmp_path, direction, upto):
+    src = tmp_path / "values.json"
+    src.write_text(json.dumps({"ring": "Z", "role": "closed", "values": [1, 2, 3, 4]}))
+    code, out, err = run(capsys, "zeta", direction, "--ring", "Z",
+                         "--values", str(src), "--upto", upto)
+    assert (code, out, err) == (1, "", "error: upto must be between 1 and 4\n")
+
+
 @pytest.mark.parametrize("command", ["polya", "invert", "forward"])
 def test_value_lists_are_bounded(capsys, tmp_path, command):
     # 1,000 values run and 1,001 are refused before any inversion
@@ -545,7 +555,9 @@ def test_verify_output_is_pinned(capsys, args):
 # SHA-256 of the stdout of zeta inversion and expansion over the seeded
 # values files in tests/data, of the symbolic menu (MPoly) and of the monoid
 # and transitive oracles, recorded when MPoly stored every coefficient as a
-# Fraction and PolyRing summed its products one at a time
+# Fraction and PolyRing summed its products one at a time; the Z, pair and
+# witt pins were recorded when each Moebius or divisor sum ran
+# scalar_mul_int, adams and sum per divisor
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 PINNED_KERNEL_OUTPUTS = {
     ("zeta", "invert", "polyZ"):
@@ -560,6 +572,18 @@ PINNED_KERNEL_OUTPUTS = {
         "1ceb57aaed09efbf9312276403df5d75f9077c2b4a941e80dd75281b6eb12a51",
     ("zeta", "forward", "Q"):
         "115cac434314e963659572ace7b66a9766b772c8d88f7c430d2ed0028fa863e6",
+    ("zeta", "invert", "Z"):
+        "b15583a0f94c0e367585d6e177b05f1912d19f32517a9148538c69e4031080c1",
+    ("zeta", "forward", "Z"):
+        "8e0d9d50d76cc83e9906d234bf382a26df401d41fa3510296ac595552667c801",
+    ("zeta", "invert", "pair"):
+        "5354e696bef36186b48d8ec36b79fa7c52e3bd23e5b3047436fe4f65789afeb7",
+    ("zeta", "forward", "pair"):
+        "e8074139558266dff5173b0e3c764e7e158b769058ab2e5865e4c94cf5607e9f",
+    ("zeta", "invert", "witt"):
+        "e50f54529fb50be716815afcdbd26922fdc2503f420f1715aeabc4d67c6d2501",
+    ("zeta", "forward", "witt"):
+        "85e83624926e59b7fecd4666e5a86f6346bb1ab83ecc70a5958bb81397b6880c",
     ("polya", "--x", "0", "--symbolic", "12"):
         "c498b9df27b4e582fe9fb6697cc782c543946b5458db8addc93123276b2e5380",
     ("verify", "oracles"):
@@ -569,12 +593,13 @@ PINNED_KERNEL_OUTPUTS = {
 
 @pytest.mark.parametrize("key", list(PINNED_KERNEL_OUTPUTS), ids="-".join)
 def test_kernel_outputs_are_pinned(monkeypatch, key):
-    # the zeta commands over the polynomial rings must also reach their fast
-    # path: over polyZ, whose values are integral, the Newton series runs
-    # as one integer series; over polyQ each degree is one packed dot
-    # product with more than one pair, which only PolyRing.dot passes
+    # the zeta commands over Q and the polynomial rings must also reach
+    # their fast path: over Q and over polyZ, whose values are integral, the
+    # Newton series runs once on ints; over polyQ each degree is one packed
+    # dot product with more than one pair, which only PolyRing.dot passes
     packed, packed_dot = [], rings.packed_dot
     series, word_series = [], rings._word_series
+    fractions, fraction_series = [], rings._fraction_series
 
     def spy(pairs):
         packed.append(len(pairs))
@@ -586,12 +611,17 @@ def test_kernel_outputs_are_pinned(monkeypatch, key):
             series.append(None if out is None else len(out))
         return out
 
+    def fraction_spy(values, upto, divide):
+        fractions.append(divide)
+        return fraction_series(values, upto, divide)
+
     args = list(key)
     if key[0] == "zeta":
         values = DATA / ("zeta-%s.json" % key[2])
         args = ["zeta", key[1], "--ring", key[2], "--values", str(values)]
         monkeypatch.setattr(rings, "packed_dot", spy)
         monkeypatch.setattr(rings, "_word_series", series_spy)
+        monkeypatch.setattr(rings, "_fraction_series", fraction_spy)
     result = CliRunner().invoke(cli, args)
     assert (result.exit_code, result.stderr) == (0, "")
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED_KERNEL_OUTPUTS[key]
@@ -599,6 +629,8 @@ def test_kernel_outputs_are_pinned(monkeypatch, key):
         assert series == [12] and packed == []
     elif key[:1] + key[2:] == ("zeta", "polyQ"):
         assert series == [None] and max(packed) > 1
+    elif key[:1] + key[2:] == ("zeta", "Q"):
+        assert fractions == [key[1] == "forward"]
 
 
 # The values hold w^(10^11): their Newton series must stay sparse, as each

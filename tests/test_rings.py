@@ -57,7 +57,7 @@ from polysplit.rings import (
     sparse_dot,
     sparse_mul,
 )
-from polysplit.plethysm import forward_zeta, invert_zeta
+from polysplit.plethysm import _sieve, forward_zeta, invert_zeta
 from polysplit.polysym import PolysymElement
 from polysplit.types import SplittingType, parse_type
 
@@ -436,6 +436,8 @@ def test_adams_rejects_nonpositive():
         ring = ring_from_token(token)
         with pytest.raises(ValueError):
             ring.adams(0, ring.one())
+        with pytest.raises(ValueError):
+            ring.adams_sum([(1, 1, ring.one()), (1, 0, ring.one())])
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +732,30 @@ def test_newton_kernel_matches_the_per_term_loops(ring, draw, seed):
                 assert from_power_sums(ring, given, upto, "forward") == expected
 
 
+_ADAMS_SUM_RINGS = _NEWTON_RINGS + [
+    (PolyRing(frobenius=False), lambda rng: _seeded_poly(rng, _seeded_fraction))]
+
+
+@pytest.mark.parametrize("ring,draw", _ADAMS_SUM_RINGS,
+                         ids=[ring.name for ring, _ in _ADAMS_SUM_RINGS])
+@pytest.mark.parametrize("seed", range(3))
+def test_adams_sum_matches_the_generic_body(ring, draw, seed):
+    # the sum of n * psi_r(x) over (n, r, x) triples, n = 0 and r = 1
+    # included, is what scalar_mul_int, adams and sum give one term at a time
+    rng = random.Random(seed)
+    for size in (0, 1, 2, 5):
+        terms = [(rng.randint(-3, 3), rng.randint(1, 4), draw(rng)) for _ in range(size)]
+        expected = ring.sum(ring.scalar_mul_int(n, ring.adams(r, x)) for n, r, x in terms)
+        assert ring.adams_sum(terms) == expected, terms
+
+
+def test_sieve_matches_divisors_and_moebius():
+    divs, mu = _sieve(500)
+    assert divs[1:] == [divisors(n) for n in range(1, 501)]
+    assert mu[1:] == [moebius(n) for n in range(1, 501)]
+    assert _sieve(1) == ([[], [1]], [0, 1])
+
+
 def test_power_sums_keep_x_1_as_given():
     # a Witt x_1 of a higher order than the ring keeps its order as P_1
     x = WittElement.geometric(Fraction(2), 8)
@@ -764,8 +790,52 @@ def test_dot_overrides_match_the_default(token, seed):
         assert ring.dot(xs, ys) == RingDescriptor.dot(ring, xs, ys)
 
 
+class _PerDegree:
+    """The ring, seen from outside its class, so that the series kernels run
+    one ``ring.dot`` per degree (the ring's own dot) instead of a series
+    path that they choose by the ring's class."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)
+
+
+def _first_primes(count):
+    primes, n = [], 2
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+# 40 values whose denominators are distinct primes: the common denominator
+# of the series grows at every degree
+_PRIME_DENOMINATORS = [Fraction((-1) ** i * (i % 7 + 1), p)
+                       for i, p in enumerate(_first_primes(40))]
+_Q_VALUES = st.one_of(st.integers(-50, 50), st.just(0), st.just(Fraction(0)),
+                      st.fractions(max_denominator=12),
+                      st.fractions(min_value=-2**70, max_value=2**70, max_denominator=2**80))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_Q_VALUES, min_size=1, max_size=12), st.integers(1, 12))
+@example(_PRIME_DENOMINATORS, 40)
+@example(_PRIME_DENOMINATORS, 17)
+@example([0, 0, Fraction(3, 4)], 3)
+def test_fraction_series_matches_the_per_degree_kernel(values, upto):
+    # over Q both kernels run as one series on ints; through _PerDegree
+    # each degree is one RationalRing.dot
+    upto = min(upto, len(values))
+    for kernel in (power_sums, from_power_sums):
+        assert kernel(QQ, values, upto) == kernel(_PerDegree(QQ), values, upto)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fractions(max_denominator=9), min_size=0, max_size=8))
+@example(_PRIME_DENOMINATORS)
 def test_witt_coefficients_and_ghosts_round_trip(values):
     coeffs = [Fraction(1)] + values
     assert WittElement(coeffs).coeffs == coeffs
@@ -1144,8 +1214,8 @@ def test_word_series_refuses_what_the_per_degree_kernel_refuses():
     ps = [Poly({0: 2, 1: 2, 2: 2}), Poly({1: 1})]
     assert len(rings._word_series(ring, ps, 2, True)) == 1
     _check_series(ring, ps)
-    # 3 x_3 = 1 - w: no coefficient is divisible by 3, but its value at
-    # w = 2^(64k) is; the slots of the quotient exceed their bound
+    # 3 x_3 = 1 - w: _word_series unpacks S_3 at w = 2^(8 * width), and
+    # exact_div_by_int refuses it, as 3 does not divide 1 - w
     x1, x2 = Poly({0: 1, 1: 2, 2: 1}), Poly({0: 3, 1: -1, 2: 1, 3: 2})
     p1, p2 = power_sums(ring, [x1, x2], 2)
     ps = [p1, p2, Poly({0: 1, 1: -1}) - (p1 * x2 + p2 * x1)]
