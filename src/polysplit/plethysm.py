@@ -13,10 +13,11 @@ of x_1 ... x_m.  The forward direction rebuilds the x's from the u's via
 
 Both recurrences are Newton's identity, the series kernel
 ``rings.power_sums`` / ``rings.from_power_sums``, whose every degree is one
-``ring.dot``, a sum of products; each Moebius or divisor sum is one
-``ring.adams_sum`` over the divisors of one sieve.  Both directions divide
-by d exactly and raise MathCheckError when the division does not land back
-in the ring.
+``ring.dot``, a sum of products, or over Q and dense Z[w] one int dot; each
+Moebius or divisor sum is one ``ring.adams_sum`` over the divisors and mu
+of ``rings.divisor_sieve``, the one sieve behind ``rings.divisors`` and
+``rings.moebius``.  Both directions divide by d exactly and raise
+MathCheckError when the division does not land back in the ring.
 
 The same machinery evaluates polysymmetric elements on a sequence
 (generic plethysm: the element in the H basis, with H_tau sent to the
@@ -35,6 +36,7 @@ from .rings import (
     MPolyRing,
     RING_TOKENS,
     check_range,
+    divisor_sieve,
     exact_div,
     from_power_sums,
     power_sums,
@@ -50,6 +52,16 @@ MAX_SYMBOLIC_DEGREE = 30
 # over Z, 0.03-0.05 s over Q and 0.06-0.07 s over pairs, and expand forward
 # in about twice as long
 MAX_SEQUENCE_TERMS = 1000
+
+# the values a file may hold, per ring token.  A cold `zeta` run over
+# 1,000 values takes 0.2-0.4 s over Z, Q and pairs on a 2-vCPU host; over
+# the other rings the outputs grow with the count, and each cap keeps the
+# slower direction over values shaped like the benchmark's near 1 s: 100
+# cubics over Z (0.6 s; 200 take 11 s), 60 over Q (0.5 s; 100 take 3.2 s),
+# 100 Witt vectors of order 8 (0.9 s; 200 take 3.5 s) and 10 rational
+# functions (0.45 s; 12 take 4.2 s)
+MAX_VALUES_BY_RING = {"Z": MAX_SEQUENCE_TERMS, "Q": MAX_SEQUENCE_TERMS, "polyZ": 100,
+                      "polyQ": 60, "ratfunc": 10, "pair": MAX_SEQUENCE_TERMS, "witt": 100}
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +84,6 @@ def _rational_combination(ring, pairs, context):
 # the inversion and its inverse
 
 
-def _sieve(upto):
-    """(divisors, mu) for 0..upto: divisors[n] the sorted divisors of n and
-    mu[n] the Moebius function, from mu(n) = -(sum of mu(m) over the proper
-    divisors m of n), all in one pass over the multiples of each m."""
-    divisors = [[] for _ in range(upto + 1)]
-    mu = [0, 1] + [0] * (upto - 1)
-    for m in range(1, upto + 1):
-        for k in range(m, upto + 1, m):
-            divisors[k].append(m)
-            if k > m:
-                mu[k] -= mu[m]
-    return divisors, mu
-
-
 def invert_zeta(ring, values, upto=None):
     """Recover u_1 ... u_upto from x_1 ... x_N.
 
@@ -96,7 +94,7 @@ def invert_zeta(ring, values, upto=None):
     upto = len(xs) if upto is None else upto
     check_range("upto", upto, len(xs))
     powers = power_sums(ring, xs, upto)
-    divisors, mu = _sieve(upto)
+    divisors, mu = divisor_sieve(upto)
     us = []
     for d in range(1, upto + 1):
         total = ring.adams_sum([(mu[d // m], d // m, powers[m - 1])
@@ -110,7 +108,7 @@ def forward_zeta(ring, values, upto=None):
     us = list(values)
     upto = len(us) if upto is None else upto
     check_range("upto", upto, len(us))
-    divisors, _ = _sieve(upto)
+    divisors, _ = divisor_sieve(upto)
     big_p = [ring.adams_sum([(k, i // k, us[k - 1]) for k in divisors[i]])
              for i in range(1, upto + 1)]
     return from_power_sums(ring, big_p, upto, "forward")
@@ -282,8 +280,9 @@ class MeasureSequence:
     def from_json(cls, data):
         if not isinstance(data, dict) or "ring" not in data or "values" not in data:
             raise ValueError('a values file must be an object with "ring" and "values"')
-        check_range("number of values", len(data["values"]), MAX_SEQUENCE_TERMS)
         token = data["ring"]
+        check_range("number of values", len(data["values"]),
+                    MAX_VALUES_BY_RING.get(token, MAX_SEQUENCE_TERMS))
         order = None
         if token == "witt":
             order = data["values"][0].get("order")

@@ -38,37 +38,30 @@ class MathCheckError(ValueError):
 # number-theory and partition helpers
 
 
+def divisor_sieve(n):
+    """(divisors, mu) for 0..n: divisors[k] the sorted divisors of k and
+    mu[k] the Moebius function, from mu(k) = -(sum of mu(m) over the proper
+    divisors m of k), all in one pass over the multiples of each m."""
+    if n < 1:
+        raise ValueError("divisors and mu need n >= 1")
+    divisors = [[] for _ in range(n + 1)]
+    mu = [0, 1] + [0] * (n - 1)
+    for m in range(1, n + 1):
+        for k in range(m, n + 1, m):
+            divisors[k].append(m)
+            if k > m:
+                mu[k] -= mu[m]
+    return divisors, mu
+
+
 def divisors(n):
     """Sorted list of positive divisors of n."""
-    if n < 1:
-        raise ValueError("divisors requires n >= 1")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    return divisor_sieve(n)[0][n]
 
 
 def moebius(n):
     """The Moebius function mu(n)."""
-    if n < 1:
-        raise ValueError("moebius requires n >= 1")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+    return divisor_sieve(n)[1][n]
 
 
 def weighted_vectors(weights, caps, total):
@@ -703,8 +696,8 @@ class RatFunc:
 #
 # is the one kernel behind zeta inversion, Witt coordinates, log and exp.
 # Each degree is one ``ring.dot``, a sum of products that a descriptor may
-# compute in one pass; over Q and over integral Poly sequences the whole
-# series runs on ints (:func:`_fraction_series`, :func:`_word_series`).
+# compute in one pass; over Q and over dense integral Poly sequences the
+# whole series runs on one int per value (:func:`_int_series`).
 
 
 def exact_div(ring, x, d, detail=None):
@@ -718,9 +711,7 @@ def exact_div(ring, x, d, detail=None):
 def power_sums(ring, xs, upto):
     """[P_1, ..., P_upto] from x_1 ... x_upto, without a division:
     P_n = n * x_n - sum over i = 1..n-1 of x_i * P_(n-i)."""
-    if isinstance(ring, RationalRing):
-        return _fraction_series(xs, upto, False)
-    ps = _word_series(ring, xs[:upto], upto, False)
+    ps = _int_series(ring, xs, upto, False)
     if ps is not None:
         return ps
     ps = []
@@ -735,91 +726,89 @@ def power_sums(ring, xs, upto):
 def from_power_sums(ring, ps, upto, direction=None):
     """[x_1, ..., x_upto] from P_1 ... P_upto, dividing each n * x_n by n
     exactly; a failure carries {"degree": n, "direction": direction} when a
-    direction is given.  Degrees past the integral prefix that
-    :func:`_word_series` gives run one ``ring.dot`` each."""
+    direction is given.  Degrees past the prefix that :func:`_int_series`
+    gives run one ``ring.dot`` each."""
     if len(ps) < upto:
         raise ValueError("need P_1..P_%d, got %d power sums" % (upto, len(ps)))
-    if isinstance(ring, RationalRing):
-        return _fraction_series(ps, upto, True)
-    xs = [ring.one()] + (_word_series(ring, ps[:upto], upto, True) or [])
+    xs = [ring.one()] + (_int_series(ring, ps, upto, True) or [])
     for n in range(len(xs), upto + 1):
         detail = None if direction is None else {"degree": n, "direction": direction}
         xs.append(exact_div(ring, ring.dot(ps[:n], xs[::-1]), n, detail))
     return xs[1:]
 
 
-def _fraction_series(values, upto, divide):
-    """:func:`power_sums` (``divide`` false) or :func:`from_power_sums` over
-    Q on ints: the values over the lcm of their denominators, the outputs
-    over one running denominator that grows by what each new output's
-    denominator adds, so each degree is one int dot and one Fraction."""
-    values = values[:upto]
-    den = math.lcm(*[v.denominator for v in values])
-    given = [v.numerator * (den // v.denominator) for v in values]
-    kept, scale, out = [1] if divide else [], 1, []  # kept[k] / scale: x_k or P_(k+1)
-    for n in range(1, upto + 1):
-        s = sum(map(operator.mul, given[:n if divide else n - 1], reversed(kept)))
-        x = Fraction(s, n * den * scale) if divide else Fraction(
-            n * given[n - 1] * scale - s, den * scale)
-        grow = x.denominator // math.gcd(scale, x.denominator)
-        if grow > 1:
-            scale *= grow
-            kept = list(map(operator.mul, kept, repeat(grow)))
-        kept.append(x.numerator * (scale // x.denominator))
-        out.append(x)
-    return out
-
-
-def _word_series(ring, polys, upto, divide):
+def _int_series(ring, values, upto, divide):
     """The outputs of :func:`power_sums` (``divide`` false), or the longest
-    integral prefix of those of :func:`from_power_sums`, over the ``upto``
-    ``polys`` evaluated at w = 2**(8 * width), one int each, so that each
-    degree is one int dot; None unless the ring is a PolyRing, every
-    coefficient is an int and the series is dense: its input term pairs
-    (x_i, x_j), i + j <= upto, outnumber the exponent slots of its outputs.
+    prefix of those of :func:`from_power_sums` that stays in the ring, on
+    one int per value, so that each degree is one int dot; None when the
+    values have no int image.
+
+    Over Q a value's int is its numerator over the lcm D of the
+    denominators.  Over a PolyRing whose values have int coefficients only
+    and whose series is dense (its input term pairs (x_i, x_j), i + j <=
+    upto, outnumber the exponent slots of its outputs), it is the value at
+    w = 2**(8 * width), and D = 1.  The outputs are kept as ints over one
+    running denominator, which grows by what a new output's denominator
+    adds, and each degree's int is decoded once: to a reduced Fraction,
+    exact over Q, so that the series completes, or unpacked to a Poly and
+    divided by n as the per-degree kernel divides it, the first quotient
+    that is not integral ending the prefix.
 
     An output of degree n has degree at most D_n = max_i (deg x_i +
     D_(n-i)), D_0 = 0, and, as no coefficient of a * b exceeds |a|_1 max|b|,
     no coefficient beyond B_n = n max|x_n| + sum_(i<n) |x_i|_1 B_(n-i), or
     for the division B_n = T_n // n with T_n = sum_i |P_i|_1 B_(n-i) and
     B_0 = 1, the bound on the coefficients of S_n = sum_i P_i x_(n-i) and on
-    an integral x_n = S_n / n.  Slots hold every B_n and T_n, so each S_n
-    is read back from its value and divided as the per-degree kernel
-    divides it; the first degree whose quotient is not integral ends the
-    prefix."""
-    if (not isinstance(ring, PolyRing) or len(polys) < upto
-            or any(Fraction in set(map(type, p.coeffs.values())) for p in polys)):
+    an integral x_n = S_n / n.  Slots hold every B_n and T_n, so each
+    degree's int is read back exactly."""
+    values, den, width = values[:upto], 1, 0
+    if isinstance(ring, RationalRing):
+        den = math.lcm(*[v.denominator for v in values])
+        given = [v.numerator * (den // v.denominator) for v in values]
+    elif (not isinstance(ring, PolyRing) or len(values) < upto
+          or any(Fraction in set(map(type, p.coeffs.values())) for p in values)):
         return None
-    degrees = [p.degree() for p in polys]
-    tops = [0]  # D_0, D_1, ...
+    else:
+        degrees = [p.degree() for p in values]
+        tops = [0]  # D_0, D_1, ...
+        for n in range(1, upto + 1):
+            tops.append(max(map(operator.add, degrees[:n], reversed(tops))))
+        lens = [len(p.coeffs) for p in values]
+        pairs = sum(map(operator.mul, lens, reversed(list(accumulate(lens))[:upto - 1])))
+        if pairs <= sum(tops[1:]) + upto:
+            return None
+        forms = [p._integer_form() if p.coeffs else (1, 0, [], 0) for p in values]
+        norms = [sum(map(abs, dense)) for _, _, dense, _ in forms]
+        bounds = [int(divide)]  # B_0, B_1, ...
+        peak = 0
+        for n in range(1, upto + 1):
+            t = sum(map(operator.mul, norms[:n], reversed(bounds)))
+            if not divide:
+                t += n * forms[n - 1][3]
+            peak = max(peak, t)
+            bounds.append(t // n if divide else t)
+        width = _slot_width(peak)
+        given = [_pack(dense, width) << 8 * width * low for _, low, dense, _ in forms]
+    kept, scale, out = [1] if divide else [], 1, []  # kept[k] / scale: x_k or P_(k+1)
     for n in range(1, upto + 1):
-        tops.append(max(map(operator.add, degrees[:n], reversed(tops))))
-    lens = [len(p.coeffs) for p in polys]
-    pairs = sum(map(operator.mul, lens, reversed(list(accumulate(lens))[:upto - 1])))
-    if pairs <= sum(tops[1:]) + upto:
-        return None
-    forms = [p._integer_form() if p.coeffs else (1, 0, [], 0) for p in polys]
-    norms = [sum(map(abs, dense)) for _, _, dense, _ in forms]
-    bounds = [int(divide)]  # B_0, B_1, ...
-    peak = 0
-    for n in range(1, upto + 1):
-        t = sum(map(operator.mul, norms[:n], reversed(bounds)))
+        s = sum(map(operator.mul, given[:n if divide else n - 1], reversed(kept)))
         if not divide:
-            t += n * forms[n - 1][3]
-        peak = max(peak, t)
-        bounds.append(t // n if divide else t)
-    width = _slot_width(peak)
-    values = [_pack(dense, width) << 8 * width * low for _, low, dense, _ in forms]
-    if not divide:
-        return [p._new(_slot_terms(_unpack(v, top + 1, width)))
-                for p, v, top in zip(polys, power_sums(ZZ, values, upto), tops[1:])]
-    xs, out = [1], []
-    for n in range(1, upto + 1):
-        s = sum(map(operator.mul, values[:n], reversed(xs)))
-        x = ring.exact_div_by_int(polys[0]._new(_slot_terms(_unpack(s, tops[n] + 1, width))), n)
-        if x is None or Fraction in set(map(type, x.coeffs.values())):
-            break
-        xs.append(s // n)  # n divides every slot of s, so s // n packs x
+            s = n * scale * given[n - 1] - s
+        if width:
+            x = values[0]._new(_slot_terms(_unpack(s, tops[n] + 1, width)))
+            if divide:
+                x = ring.exact_div_by_int(x, n)
+                if x is None or Fraction in set(map(type, x.coeffs.values())):
+                    break
+                s //= n  # n divides every slot of s, so s // n packs x
+            kept.append(s)
+        else:
+            x = Fraction(s, n * den * scale if divide else den * scale)
+            grow = x.denominator // math.gcd(scale, x.denominator)
+            if grow > 1:
+                scale *= grow
+                kept = list(map(operator.mul, kept, repeat(grow)))
+            kept.append(x.numerator * (scale // x.denominator))
         out.append(x)
     return out
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from polysplit import arrangements, rings
 from polysplit.arrangements import incidence_table
 from polysplit.cli import MAX_QUERY_DEGREE, cli, main
+from polysplit.plethysm import MAX_SEQUENCE_TERMS, MAX_VALUES_BY_RING
 from polysplit.polysym import BASES
 from polysplit.rings import RING_TOKENS
 from polysplit.types import enumerate_types
@@ -313,6 +314,29 @@ def test_value_lists_are_bounded(capsys, tmp_path, command):
             assert err == "error: number of values must be between 1 and 1000\n"
 
 
+_ONE = {"polyZ": {"var": "w", "coeffs": {"0": "1"}}, "polyQ": {"var": "w", "coeffs": {"0": "1"}},
+        "ratfunc": {"var": "w", "coeffs": {"0": "1"}}, "witt": {"order": 1, "coeffs": ["1", "1"]}}
+
+
+@pytest.mark.parametrize("token", list(_ONE))
+def test_value_files_are_capped_per_ring(capsys, tmp_path, token):
+    # one value past the ring's cap is refused before any inversion
+    cap = MAX_VALUES_BY_RING[token]
+    src = tmp_path / "values.json"
+    src.write_text(json.dumps({"ring": token, "values": [_ONE[token]] * (cap + 1)}))
+    code, out, err = run(capsys, "zeta", "invert", "--ring", token, "--values", str(src))
+    assert (code, out) == (1, "")
+    assert err == "error: number of values must be between 1 and %d\n" % cap
+
+
+def test_every_ring_cap_holds_the_pinned_values_files():
+    assert set(MAX_VALUES_BY_RING) == set(RING_TOKENS)
+    assert {MAX_VALUES_BY_RING[t] for t in ("Z", "Q", "pair")} == {MAX_SEQUENCE_TERMS}
+    for path in sorted(DATA.glob("zeta-*.json")):
+        data = json.loads(path.read_text())
+        assert len(data["values"]) <= MAX_VALUES_BY_RING[data["ring"]], path.name
+
+
 def test_zeta_ring_mismatch(capsys, tmp_path):
     src = tmp_path / "closed.json"
     src.write_text(json.dumps({"ring": "Z", "role": "closed",
@@ -598,30 +622,26 @@ def test_kernel_outputs_are_pinned(monkeypatch, key):
     # Newton series runs once on ints; over polyQ each degree is one packed
     # dot product with more than one pair, which only PolyRing.dot passes
     packed, packed_dot = [], rings.packed_dot
-    series, word_series = [], rings._word_series
-    fractions, fraction_series = [], rings._fraction_series
+    series, fractions, int_series = [], [], rings._int_series
 
     def spy(pairs):
         packed.append(len(pairs))
         return packed_dot(pairs)
 
-    def series_spy(ring, polys, upto, divide):
-        out = word_series(ring, polys, upto, divide)
-        if isinstance(ring, rings.PolyRing):  # not the inner series over Z
+    def series_spy(ring, values, upto, divide):
+        out = int_series(ring, values, upto, divide)
+        if isinstance(ring, rings.PolyRing):
             series.append(None if out is None else len(out))
+        elif isinstance(ring, rings.RationalRing):
+            fractions.append(divide)
         return out
-
-    def fraction_spy(values, upto, divide):
-        fractions.append(divide)
-        return fraction_series(values, upto, divide)
 
     args = list(key)
     if key[0] == "zeta":
         values = DATA / ("zeta-%s.json" % key[2])
         args = ["zeta", key[1], "--ring", key[2], "--values", str(values)]
         monkeypatch.setattr(rings, "packed_dot", spy)
-        monkeypatch.setattr(rings, "_word_series", series_spy)
-        monkeypatch.setattr(rings, "_fraction_series", fraction_spy)
+        monkeypatch.setattr(rings, "_int_series", series_spy)
     result = CliRunner().invoke(cli, args)
     assert (result.exit_code, result.stderr) == (0, "")
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED_KERNEL_OUTPUTS[key]

@@ -31,6 +31,7 @@ from polysplit.rings import (
     WittElement,
     WittRing,
     add_terms,
+    divisor_sieve,
     divisors,
     euler_product,
     exact_div,
@@ -57,7 +58,7 @@ from polysplit.rings import (
     sparse_dot,
     sparse_mul,
 )
-from polysplit.plethysm import _sieve, forward_zeta, invert_zeta
+from polysplit.plethysm import forward_zeta, invert_zeta
 from polysplit.polysym import PolysymElement
 from polysplit.types import SplittingType, parse_type
 
@@ -749,11 +750,32 @@ def test_adams_sum_matches_the_generic_body(ring, draw, seed):
         assert ring.adams_sum(terms) == expected, terms
 
 
+def _mu_by_factoring(n):
+    """mu(n) from the prime factorization of n by trial division."""
+    sign, p = 1, 2
+    while n > 1:
+        if n % p:
+            p += 1
+            continue
+        n //= p
+        if n % p == 0:
+            return 0
+        sign = -sign
+    return sign
+
+
 def test_sieve_matches_divisors_and_moebius():
-    divs, mu = _sieve(500)
-    assert divs[1:] == [divisors(n) for n in range(1, 501)]
-    assert mu[1:] == [moebius(n) for n in range(1, 501)]
-    assert _sieve(1) == ([[], [1]], [0, 1])
+    # against the definitions: the divisors by trial division, mu from
+    # the prime factorization; divisors and moebius read the sieve
+    divs, mu = divisor_sieve(500)
+    assert divs[1:] == [[d for d in range(1, n + 1) if n % d == 0] for n in range(1, 501)]
+    assert mu[1:] == [_mu_by_factoring(n) for n in range(1, 501)]
+    assert [divisors(n) for n in range(1, 501)] == divs[1:]
+    assert [moebius(n) for n in range(1, 501)] == mu[1:]
+    assert divisor_sieve(1) == ([[], [1]], [0, 1])
+    for read in (divisors, moebius, divisor_sieve):
+        with pytest.raises(ValueError):
+            read(0)
 
 
 def test_power_sums_keep_x_1_as_given():
@@ -818,19 +840,6 @@ _PRIME_DENOMINATORS = [Fraction((-1) ** i * (i % 7 + 1), p)
 _Q_VALUES = st.one_of(st.integers(-50, 50), st.just(0), st.just(Fraction(0)),
                       st.fractions(max_denominator=12),
                       st.fractions(min_value=-2**70, max_value=2**70, max_denominator=2**80))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.lists(_Q_VALUES, min_size=1, max_size=12), st.integers(1, 12))
-@example(_PRIME_DENOMINATORS, 40)
-@example(_PRIME_DENOMINATORS, 17)
-@example([0, 0, Fraction(3, 4)], 3)
-def test_fraction_series_matches_the_per_degree_kernel(values, upto):
-    # over Q both kernels run as one series on ints; through _PerDegree
-    # each degree is one RationalRing.dot
-    upto = min(upto, len(values))
-    for kernel in (power_sums, from_power_sums):
-        assert kernel(QQ, values, upto) == kernel(_PerDegree(QQ), values, upto)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1149,16 +1158,23 @@ def test_slot_codec_round_trips(width, slots):
             rings._unpack(outside, n, width)
 
 
-def _check_series(ring, xs):
-    """power_sums and from_power_sums over xs and over its power sums give
-    what the per-degree kernel gives, a MathCheckError included."""
-    n = len(xs)
-    per_degree = _FreshDot(ring)  # not a PolyRing, so no series path
+def _check_series(ring, xs, upto=None):
+    """power_sums and from_power_sums over the first upto of xs (all of
+    them by default) and over their power sums give what the per-degree
+    kernel gives, a MathCheckError included."""
+    n = len(xs) if upto is None else upto
+    # neither wrapper is a RationalRing or a PolyRing, so neither takes
+    # the integer series: over Q each degree is one RationalRing.dot, over
+    # Z[w] and Q[w] the default sum of products over fresh copies
+    if isinstance(ring, RationalRing):
+        per_degree, copies = _PerDegree(ring), list
+    else:
+        per_degree, copies = _FreshDot(ring), lambda given: [_fresh(x) for x in given]
     ps = power_sums(ring, xs, n)
-    assert ps == power_sums(per_degree, [_fresh(x) for x in xs], n)
+    assert ps == power_sums(per_degree, copies(xs), n)
     for given in (ps, xs):
         try:
-            expected = from_power_sums(per_degree, [_fresh(x) for x in given], n, "forward")
+            expected = from_power_sums(per_degree, copies(given), n, "forward")
         except MathCheckError as exc:
             with pytest.raises(MathCheckError) as got:
                 from_power_sums(ring, given, n, "forward")
@@ -1167,7 +1183,8 @@ def _check_series(ring, xs):
             assert from_power_sums(ring, given, n, "forward") == expected
 
 
-_SERIES_RINGS = [PolyRing(integral=True), PolyRing(), PolyRing(frobenius=False)]
+_POLY_SERIES_RINGS = [PolyRing(integral=True), PolyRing(), PolyRing(frobenius=False)]
+_SERIES_RINGS = [QQ] + _POLY_SERIES_RINGS
 _series_coeffs = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70),
                            st.sampled_from([0, -2**63, 2**63 - 1, 2**63, -2**63 - 1]))
 
@@ -1183,8 +1200,35 @@ def _series_poly(draw, ring):
 @pytest.mark.parametrize("ring", _SERIES_RINGS, ids=[r.name for r in _SERIES_RINGS])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_word_series_matches_the_per_degree_kernel(ring, data):
-    _check_series(ring, data.draw(st.lists(_series_poly(ring), min_size=1, max_size=6)))
+def test_int_series_matches_the_per_degree_kernel(ring, data):
+    # mixed ints and Fractions over Q; over the polynomial rings int
+    # coefficients, 70-bit ones and zero polynomials among them
+    if ring is QQ:
+        xs = data.draw(st.lists(_Q_VALUES, min_size=1, max_size=12))
+    else:
+        xs = data.draw(st.lists(_series_poly(ring), min_size=1, max_size=6))
+    _check_series(ring, xs, data.draw(st.integers(1, len(xs))))
+
+
+def _pinned_series():
+    """{id: (ring, values, upto)} for series that each ring's kernels must
+    agree on."""
+    dense = [Poly({e: (-1) ** e * (e + n) for e in range(4)}) for n in range(1, 7)]
+    cases = {"Q-40-primes": (QQ, _PRIME_DENOMINATORS, 40),
+             "Q-upto-17-of-40": (QQ, _PRIME_DENOMINATORS, 17),
+             "Q-zeros": (QQ, [0, 0, Fraction(3, 4)], 3)}
+    for ring in _POLY_SERIES_RINGS:
+        cases[ring.name + "-upto-4-of-7"] = (ring, dense[:2] + [Poly({})] + dense[2:], 4)
+        cases[ring.name + "-zeros"] = (ring, [Poly({})] * 3, 3)
+    return cases
+
+
+@pytest.mark.parametrize("ring,values,upto", list(_pinned_series().values()),
+                         ids=list(_pinned_series()))
+def test_int_series_matches_on_the_pinned_sequences(ring, values, upto):
+    # the common denominator of 40 distinct primes grows at every degree;
+    # upto < len(values), with a zero value among the first upto
+    _check_series(ring, values, upto)
 
 
 def _series_cases(ring):
@@ -1198,12 +1242,13 @@ def _series_cases(ring):
     }
 
 
-@pytest.mark.parametrize("ring", _SERIES_RINGS, ids=[r.name for r in _SERIES_RINGS])
+@pytest.mark.parametrize("ring", _POLY_SERIES_RINGS, ids=[r.name for r in _POLY_SERIES_RINGS])
 def test_word_series_takes_the_pinned_cases(monkeypatch, ring):
+    # the polynomial series packed in whole machine words, or wider slots
     widths = _pack_widths(monkeypatch)
     for case, xs in _series_cases(ring).items():
         widths.clear()
-        assert rings._word_series(ring, xs, len(xs), False) is not None, case
+        assert rings._int_series(ring, xs, len(xs), False) is not None, case
         assert set(widths) == {8} if case != "multiword" else min(widths) > 8, case
         _check_series(ring, xs)
 
@@ -1212,20 +1257,38 @@ def test_word_series_refuses_what_the_per_degree_kernel_refuses():
     # P_1 = 2 + 2w + 2w^2 and P_2 = w: 2 x_2 = P_1^2 + P_2 has odd terms
     ring = PolyRing(integral=True)
     ps = [Poly({0: 2, 1: 2, 2: 2}), Poly({1: 1})]
-    assert len(rings._word_series(ring, ps, 2, True)) == 1
+    assert len(rings._int_series(ring, ps, 2, True)) == 1
     _check_series(ring, ps)
-    # 3 x_3 = 1 - w: _word_series unpacks S_3 at w = 2^(8 * width), and
+    # 3 x_3 = 1 - w: _int_series unpacks S_3 at w = 2^(8 * width), and
     # exact_div_by_int refuses it, as 3 does not divide 1 - w
     x1, x2 = Poly({0: 1, 1: 2, 2: 1}), Poly({0: 3, 1: -1, 2: 1, 3: 2})
     p1, p2 = power_sums(ring, [x1, x2], 2)
     ps = [p1, p2, Poly({0: 1, 1: -1}) - (p1 * x2 + p2 * x1)]
-    assert rings._word_series(ring, ps, 3, True) == [x1, x2]
+    assert rings._int_series(ring, ps, 3, True) == [x1, x2]
     with pytest.raises(MathCheckError) as got:
         from_power_sums(ring, ps, 3, "forward")
     assert got.value.detail == {"degree": 3, "direction": "forward"}
     _check_series(ring, ps)
     # over Q the series hands the failing degree to the per-degree kernel
     assert from_power_sums(PolyRing(), ps, 3)[2] == Poly({0: Fraction(1, 3), 1: Fraction(-1, 3)})
+
+
+def test_a_polyq_series_turns_fractional_midway_and_ends_per_degree():
+    # int power sums of six dense integral values, P_3 raised by w: the
+    # integer series gives x_1 and x_2, then 3 x_3 has odd terms, and
+    # x_3 .. x_6 come from the per-degree kernel with Fractions
+    ring = PolyRing()
+    xs = [Poly({e: (-1) ** e * (e + n) for e in range(4)}) for n in range(1, 7)]
+    ps = power_sums(ring, xs, 6)
+    ps[2] = ps[2] + Poly({1: 1})
+    assert rings._int_series(ring, ps, 6, True) == xs[:2]
+    out = from_power_sums(ring, ps, 6)
+    assert out[:2] == xs[:2]
+    assert all(Fraction in set(map(type, x.coeffs.values())) for x in out[2:])
+    _check_series(ring, ps)
+    with pytest.raises(MathCheckError) as got:
+        from_power_sums(PolyRing(integral=True), ps, 6, "forward")
+    assert got.value.detail == {"degree": 3, "direction": "forward"}
 
 
 _IN_PLACE_HELPERS = {"add_terms", "_ints"}
